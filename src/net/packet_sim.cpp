@@ -183,19 +183,6 @@ class LinkTable {
   }
   Cycles* channel_data() { return channels_.data(); }
 
-  /// Earliest-free channel of a resolved link. The first-minimum tie-break
-  /// (equal-cycle channels resolve to the lowest index, as std::min_element
-  /// would) is part of the pinned trajectory; the SIMD horizontal-min
-  /// reproduces it exactly (tests/test_simd.cpp).
-  Cycles& earliest(std::int32_t id) {
-    const auto off =
-        static_cast<std::size_t>(chan_off_[static_cast<std::size_t>(id)]);
-    const auto cnt =
-        static_cast<std::size_t>(chan_cnt_[static_cast<std::size_t>(id)]);
-    Cycles* span = channels_.data() + off;
-    return span[cnt == 1 ? 0 : util::simd::first_min_index_i64(span, cnt)];
-  }
-
  private:
   PairIndex index_;
   std::vector<std::int32_t> chan_off_;
@@ -469,7 +456,7 @@ struct SimContext {
   Cycles service;
   std::size_t reserve;
   /// Non-null only when the config carries a plan with active packet-level
-  /// faults — so a null pointer IS the fault-free fast path.
+  /// faults — so a null pointer IS the fault-free run (all verdicts zero).
   const fault::FaultPlan* faults;
   /// Non-null only when cfg.reroute engaged (plan has kill intervals):
   /// epoch-stamped route variants plus the injection -> pair-id map.
@@ -562,10 +549,10 @@ struct Shard {
   std::vector<std::int32_t> chain_next;
   std::vector<std::int32_t> touched;
   std::vector<std::uint64_t> mask_words;
-  // Faulted batch-kernel scratch: staged event identities, the vectorized
-  // fault-verdict bitmask, and the per-event link-degrade memo (written in
-  // pass 1, read again for the service span in pass 2 so link_degrade runs
-  // exactly once per event, as in the ordered kernel).
+  // Fault-plan scratch of the window kernel: staged event identities, the
+  // vectorized fault-verdict bitmask, and the per-event link-degrade memo
+  // (written in pass 1, read again for the service span in pass 2 so
+  // link_degrade runs exactly once per event).
   std::vector<std::uint64_t> verdict_words;
   std::vector<std::uint32_t> stage_inj;
   std::vector<std::uint16_t> stage_att;
@@ -593,10 +580,8 @@ struct Shard {
   std::int64_t wheel_peak = 0;     ///< max single-bucket occupancy seen
   std::int64_t l2_pushes = 0;      ///< events staged through the frame wheel
   std::int64_t heap_spills = 0;    ///< events past both wheel horizons
-  std::int64_t simd_windows = 0;   ///< fast-kernel (SIMD-path) dispatches
-  std::int64_t scalar_windows = 0; ///< strictly-ordered kernel dispatches
-  std::int64_t faulted_simd_windows = 0;  ///< faulted batch-kernel dispatches
-  std::int64_t mc_windows = 0;     ///< oracle-attended ordered dispatches
+  std::int64_t simd_windows = 0;   ///< kernel dispatches without a plan
+  std::int64_t faulted_simd_windows = 0;  ///< kernel dispatches with a plan
   std::int64_t csort_windows = 0;  ///< counting-sorted window buffers
   std::int64_t radix_windows = 0;  ///< of those, LSD-radix-sorted (large n)
   std::int64_t sort_fallbacks = 0; ///< std::sort fallback window buffers
@@ -632,11 +617,6 @@ class Engine {
   Engine(const SimContext& sc, int threads, int num_shards)
       : sc_(sc),
         fp_(sc.faults),
-        oracle_(
-#ifndef LOGP_MC_DISABLED
-            sc.faults != nullptr ? sc.cfg.oracle :
-#endif
-                                 nullptr),
         service_(sc.service),
         csort_(sc.service <= 1024),
         drain_(sc.cfg.drain_limit),
@@ -773,7 +753,7 @@ class Engine {
     obs::MetricsRegistry* m = sc_.cfg.metrics;
     if (m == nullptr) return;
     std::int64_t pushes = 0, peak = 0, l2 = 0, spills = 0, simd = 0,
-                 fsimd = 0, scalar = 0, mc = 0, cs = 0, rx = 0, fb = 0;
+                 fsimd = 0, cs = 0, rx = 0, fb = 0;
     for (const Shard& sh : shards_) {
       pushes += sh.wheel_pushes;
       peak = std::max(peak, sh.wheel_peak);
@@ -781,8 +761,6 @@ class Engine {
       spills += sh.heap_spills;
       simd += sh.simd_windows;
       fsimd += sh.faulted_simd_windows;
-      scalar += sh.scalar_windows;
-      mc += sh.mc_windows;
       cs += sh.csort_windows;
       rx += sh.radix_windows;
       fb += sh.sort_fallbacks;
@@ -793,8 +771,6 @@ class Engine {
     m->counter("net.heap.spills")->add(spills);
     m->counter("net.kernel.simd_windows")->add(simd);
     m->counter("net.kernel.faulted_simd_windows")->add(fsimd);
-    m->counter("net.kernel.scalar_windows")->add(scalar);
-    m->counter("net.kernel.mc_windows")->add(mc);
     m->counter("net.sort.counting_windows")->add(cs);
     m->counter("net.sort.radix_windows")->add(rx);
     m->counter("net.sort.fallbacks")->add(fb);
@@ -1056,16 +1032,7 @@ class Engine {
     }
     if (n > 0) {
       sh.last_t = wbase + static_cast<Cycles>(ev[n - 1].key >> 32);
-      if (fp_ != nullptr) {
-        // An attached oracle must see choice points in canonical event
-        // order, which only the strictly-ordered kernel walks.
-        if (oracle_ != nullptr)
-          window_faulted(sh, si, wbase, ev, n);
-        else
-          window_faulted_batch(sh, si, wbase, ev, n);
-      } else {
-        window_fast(sh, si, wbase, ev, n);
-      }
+      window_kernel(sh, si, wbase, ev, n);
     }
     buf.clear();
     ++sh.epoch;
@@ -1095,202 +1062,54 @@ class Engine {
     sh.next_w = nw;
   }
 
-  /// Fault-free window kernel. Two passes over the sorted buffer:
+  /// The window kernel. Two passes over the sorted buffer:
   ///
-  ///  1. Classification: a SIMD sign-mask of the link column splits each
-  ///     64-event block into deliveries (recorded immediately — they touch
-  ///     no shared state) and link traversals, which are chained per link
-  ///     in buffer order (= canonical order).
-  ///  2. Arbitration: per touched link, walk its chain with the channel
-  ///     span hot in registers/L1 — the SIMD first-minimum scan amortizes
-  ///     over every event on that link in the window.
-  ///
-  /// Reordering across links is invisible: links are independent resources,
-  /// per-link subsequences stay canonical, and all statistics flow through
-  /// the canonical replay in reduce().
-  void window_fast(Shard& sh, std::size_t si, Cycles wbase, const WEvent* ev,
-                   std::size_t n) {
-    ++sh.simd_windows;
-    sh.mask_words.resize((n + 63) / 64);
-    util::simd::negative_mask_i32_stride(&ev[0].link, n,
-                                         sizeof(WEvent) / sizeof(std::int32_t),
-                                         sh.mask_words.data());
-    sh.chain_next.resize(n);
-    sh.touched.clear();
-    const std::uint64_t emark = static_cast<std::uint64_t>(++sh.epoch) << 32;
-    for (std::size_t base = 0; base < n; base += 64) {
-      const std::uint64_t del = sh.mask_words[base / 64];
-      const std::size_t cnt = std::min<std::size_t>(64, n - base);
-      for (std::uint64_t m = del; m != 0; m &= m - 1) {
-        const std::size_t i =
-            base + static_cast<std::size_t>(__builtin_ctzll(m));
-        sh.deliveries.push_back(
-            {wbase + static_cast<Cycles>(ev[i].key >> 32),
-             static_cast<std::int32_t>(static_cast<std::uint32_t>(ev[i].key)),
-             DKind::kDelivered});
-      }
-      const std::uint64_t valid =
-          cnt == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << cnt) - 1;
-      for (std::uint64_t m = ~del & valid; m != 0; m &= m - 1) {
-        const auto i = static_cast<std::int32_t>(
-            base + static_cast<std::size_t>(__builtin_ctzll(m)));
-        const std::int32_t l = ev[i].link;
-        sh.chain_next[static_cast<std::size_t>(i)] = -1;
-        std::uint64_t& mark = sh.link_mark[static_cast<std::size_t>(l)];
-        if ((mark & ~std::uint64_t{0xffffffff}) != emark) {
-          mark = emark | static_cast<std::uint32_t>(i);
-          sh.touched.push_back(l);
-        } else {
-          sh.chain_next[static_cast<std::size_t>(
-              sh.link_tail[static_cast<std::size_t>(l)])] = i;
-        }
-        sh.link_tail[static_cast<std::size_t>(l)] = i;
-      }
-    }
-    Cycles* const chans = sc_.links.channel_data();
-    const Cycles service = service_;
-    for (const std::int32_t l : sh.touched) {
-      Cycles* const span = chans + sc_.links.channel_offset(l);
-      const auto cnt = static_cast<std::size_t>(sc_.links.channels(l));
-      for (std::int32_t i = static_cast<std::int32_t>(static_cast<std::uint32_t>(
-               sh.link_mark[static_cast<std::size_t>(l)]));
-           i != -1; i = sh.chain_next[static_cast<std::size_t>(i)]) {
-        const WEvent& e = ev[i];
-        const Cycles t = wbase + static_cast<Cycles>(e.key >> 32);
-        const std::size_t c =
-            cnt == 1 ? 0 : util::simd::first_min_index_i64(span, cnt);
-        const Cycles start = t > span[c] ? t : span[c];
-        span[c] = start + service;
-        if (telem_)
-          accumulate_link(sh.link_acc[static_cast<std::size_t>(l)], service,
-                          start - t);
-        const auto inj =
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(e.key));
-        const RouteRef& rr = sc_.refs[static_cast<std::size_t>(inj)];
-        const std::int32_t nhop = static_cast<std::int32_t>(e.hop) + 1;
-        const std::int32_t nlink = nhop == rr.hops ? -1 : rr.span[nhop];
-        push_event(sh, si, start + service, inj, nlink,
-                   static_cast<std::uint16_t>(nhop), 0);
-      }
-    }
-  }
-
-  /// Strictly-ordered faulted kernel: walks the sorted buffer one event at
-  /// a time in canonical (t, inj) order, exactly like the pre-batch
-  /// engines. Since the batch kernel below took over plain faulted runs,
-  /// this path serves the model checker: an attached ChoiceOracle is
-  /// consulted at each droppable link traversal, and consultation order
-  /// must be the canonical event order — which the batch kernel's survivor
-  /// grouping does not preserve. It is also the reference implementation
-  /// the batch kernel is pinned byte-identical against.
-  void window_faulted(Shard& sh, std::size_t si, Cycles wbase,
-                      const WEvent* ev, std::size_t n) {
-    ++sh.scalar_windows;
-    if (oracle_ != nullptr) ++sh.mc_windows;
-    for (std::size_t x = 0; x < n; ++x) {
-      const WEvent& e = ev[x];
-      const Cycles t = wbase + static_cast<Cycles>(e.key >> 32);
-      const auto inj =
-          static_cast<std::int32_t>(static_cast<std::uint32_t>(e.key));
-      if (e.link < 0) {
-        // A corrupted attempt consumed every link it crossed but delivers
-        // nothing — the receiver discards it and the plan decides its fate.
-        if (fp_->corrupt_attempt(inj, e.attempt)) {
-          ++sh.corrupted;
-          retry_or_lose(sh, si, t, inj, e.attempt, -1);
-        } else {
-          sh.deliveries.push_back({t, inj, DKind::kDelivered});
-        }
-        continue;
-      }
-      const auto [lu, lv] = sc_.links.endpoints(e.link);
-      const int deg = fp_->link_degrade(lu, lv, t);
-      const RouteRef& rr = sc_.refs[static_cast<std::size_t>(inj)];
-      // A dead link is a fact, not a choice — only the hash drop verdict is
-      // a kDrop choice point the oracle may override (alternative 0 keeps
-      // the plan's verdict, so a 0-everywhere oracle reproduces the
-      // oracle-free trajectory exactly).
-      bool doomed = deg == 0;
-      if (!doomed) {
-        bool verdict = fp_->drop_attempt(inj, e.attempt) &&
-                       static_cast<int>(e.hop) ==
-                           fp_->drop_hop(inj, e.attempt, rr.hops);
-#ifndef LOGP_MC_DISABLED
-        if (oracle_ != nullptr) {
-          const std::uint64_t labels[2] = {verdict ? 1u : 0u,
-                                           verdict ? 0u : 1u};
-          const int k = oracle_->choose(sim::ChoiceKind::kDrop, 2, labels);
-          LOGP_CHECK(k == 0 || k == 1);
-          if (k == 1) verdict = !verdict;
-        }
-#endif
-        doomed = verdict;
-      }
-      if (doomed) {
-        ++sh.dropped;
-        if (telem_) ++sh.link_acc[static_cast<std::size_t>(e.link)].drops;
-        retry_or_lose(sh, si, t, inj, e.attempt, e.link);
-        continue;
-      }
-      // A degraded (but live) link serves slower; service only ever grows,
-      // so the window lookahead bound is untouched.
-      const Cycles svc = service_ * deg;
-      Cycles& free_at = sc_.links.earliest(e.link);
-      const Cycles start = t > free_at ? t : free_at;
-      free_at = start + svc;
-      if (telem_)
-        accumulate_link(sh.link_acc[static_cast<std::size_t>(e.link)], svc,
-                        start - t);
-      const std::int32_t nhop = static_cast<std::int32_t>(e.hop) + 1;
-      const std::int32_t nlink = nhop == rr.hops ? -1 : rr.span[nhop];
-      push_event(sh, si, start + svc, inj, nlink,
-                 static_cast<std::uint16_t>(nhop), e.attempt);
-    }
-  }
-
-  /// Faulted batch kernel (fault plan active, no oracle): the two-pass
-  /// shape of window_fast with the fault decisions hoisted into one
-  /// vectorized hash pass.
-  ///
-  ///  1. Verdicts. A single SplitMix64 batch (FaultPlan::verdict_mask)
-  ///     decides corrupt for deliveries and rate-drop for link traversals
-  ///     in one sweep; the drop-hop refinement then touches only
-  ///     hash-flagged events, and the dead/degraded-link memo only runs
-  ///     when the plan has link faults at all. The result per 64-event
-  ///     block is a terminal mask: events that end in an outcome record
-  ///     this window.
+  ///  1. Classification and verdicts. A SIMD sign-mask of the link column
+  ///     splits each 64-event block into deliveries and link traversals.
+  ///     With a fault plan, one vectorized SplitMix64 batch
+  ///     (FaultPlan::verdict_mask) decides corrupt for deliveries and
+  ///     rate-drop for traversals; the drop-hop refinement then touches
+  ///     only hash-flagged events, and the dead/degraded-link memo only
+  ///     runs when the plan has link faults at all. Without a plan every
+  ///     verdict word is zero. The result per block is a terminal mask:
+  ///     events that end in an outcome record this window.
   ///  2. Records and chains. Outcome records (clean deliveries, corrupted
   ///     or dropped attempts) are emitted walking the delivery|terminal
-  ///     mask in buffer order — exactly the interleaving the ordered
-  ///     kernel produces — while surviving traversals chain per link and
-  ///     arbitrate like the fault-free kernel, with the service span
-  ///     scaled by the link's degrade factor.
+  ///     mask in buffer (= canonical) order, while surviving traversals
+  ///     chain per link. Each touched link then arbitrates its chain with
+  ///     the channel span hot in registers/L1 — the SIMD first-minimum scan
+  ///     amortizes over every event on that link in the window — with the
+  ///     service span scaled by the link's degrade factor.
   ///
-  /// Byte-identity with window_faulted() is structural: verdicts are
-  /// bit-exact (the integer-threshold form of the same hashes), per-shard
-  /// record order is canonical either way, per-link arbitration sees the
-  /// same canonical subsequence, and successor push order is laundered by
-  /// sort_window() — pinned across every fault type, sim_threads and SIMD
-  /// setting by tests/test_packet_sim.cpp.
-  void window_faulted_batch(Shard& sh, std::size_t si, Cycles wbase,
-                            const WEvent* ev, std::size_t n) {
-    ++sh.faulted_simd_windows;
+  /// Reordering across links is invisible: links are independent resources,
+  /// verdicts are pure hashes, per-shard record order and per-link event
+  /// subsequences stay canonical, successor push order is laundered by
+  /// sort_window(), and all statistics flow through the canonical replay in
+  /// reduce(). tests/test_packet_sim.cpp pins every result field against a
+  /// serial reference simulator (a plain (t, inj) priority queue).
+  void window_kernel(Shard& sh, std::size_t si, Cycles wbase,
+                     const WEvent* ev, std::size_t n) {
     const std::size_t nwords = (n + 63) / 64;
     sh.mask_words.resize(nwords);
     util::simd::negative_mask_i32_stride(&ev[0].link, n,
                                          sizeof(WEvent) / sizeof(std::int32_t),
                                          sh.mask_words.data());
-    sh.stage_inj.resize(n);
-    sh.stage_att.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      sh.stage_inj[i] = static_cast<std::uint32_t>(ev[i].key);
-      sh.stage_att[i] = ev[i].attempt;
+    if (fp_ != nullptr) {
+      ++sh.faulted_simd_windows;
+      sh.stage_inj.resize(n);
+      sh.stage_att.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        sh.stage_inj[i] = static_cast<std::uint32_t>(ev[i].key);
+        sh.stage_att[i] = ev[i].attempt;
+      }
+      sh.verdict_words.resize(nwords);
+      fp_->verdict_mask(sh.mask_words.data(), sh.stage_inj.data(),
+                        sh.stage_att.data(), n, sh.vscratch,
+                        sh.verdict_words.data());
+    } else {
+      ++sh.simd_windows;
     }
-    sh.verdict_words.resize(nwords);
-    fp_->verdict_mask(sh.mask_words.data(), sh.stage_inj.data(),
-                      sh.stage_att.data(), n, sh.vscratch,
-                      sh.verdict_words.data());
-    const bool lf = !fp_->link_faults.empty();
+    const bool lf = fp_ != nullptr && !fp_->link_faults.empty();
     if (lf) sh.stage_deg.resize(n);
     sh.chain_next.resize(n);
     sh.touched.clear();
@@ -1300,11 +1119,12 @@ class Engine {
       const std::uint64_t valid =
           cnt == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << cnt) - 1;
       const std::uint64_t del = sh.mask_words[base / 64];
-      const std::uint64_t ver = sh.verdict_words[base / 64];
+      const std::uint64_t ver =
+          fp_ != nullptr ? sh.verdict_words[base / 64] : 0;
       // Terminal = corrupted deliveries, dead-link traversals, and
-      // rate-flagged traversals whose hash drop-hop is this hop. The
-      // ordered kernel never consults the drop hash on a dead link, but
-      // the hash is pure — computing it for everyone changes no verdict.
+      // rate-flagged traversals whose hash drop-hop is this hop. A dead
+      // link needs no drop hash, but the hash is pure — computing it for
+      // everyone changes no verdict.
       std::uint64_t term = del & ver;
       if (lf) {
         for (std::uint64_t m = ~del & valid; m != 0; m &= m - 1) {
@@ -1347,7 +1167,7 @@ class Engine {
           retry_or_lose(sh, si, t, inj, ev[i].attempt, ev[i].link);
         }
       }
-      // Surviving link traversals chain per link, as in window_fast.
+      // Surviving link traversals chain per link in buffer order.
       for (std::uint64_t m = ~(del | term) & valid; m != 0; m &= m - 1) {
         const auto i = static_cast<std::int32_t>(
             base + static_cast<std::size_t>(__builtin_ctzll(m)));
@@ -1364,6 +1184,9 @@ class Engine {
         sh.link_tail[static_cast<std::size_t>(l)] = i;
       }
     }
+    // Arbitration. The first-minimum tie-break (equal-cycle channels resolve
+    // to the lowest index) is part of the pinned trajectory; the SIMD
+    // horizontal-min reproduces it exactly (tests/test_simd.cpp).
     Cycles* const chans = sc_.links.channel_data();
     for (const std::int32_t l : sh.touched) {
       Cycles* const span = chans + sc_.links.channel_offset(l);
@@ -1482,9 +1305,16 @@ class Engine {
           binj = d.inj;
         }
       }
-      // An in-flight packet always has a smaller injection id than the next
-      // undispatched injection, so outcome records win timestamp ties — the
-      // same tie-break the canonical event order makes.
+      // Outcome records win timestamp ties against injections. That is
+      // canonical (t, inj) order for records of dispatched packets, whose
+      // ids are below the next undispatched injection's, but not for a
+      // record at a packet's own birth instant (a hop-0 drop at t == born),
+      // which canonical order puts after that packet's injection and any
+      // lower-id injection born at the same instant. Known defect: such a
+      // retry counts as a reroute (its cur_span is still unset), and with
+      // retries off peak_in_flight/pool_slots can read one low. The fix,
+      // `|| (born == bt && ii <= binj)`, changes the committed perfbench
+      // digests, so it waits for a change that re-records them.
       const bool take_inj =
           ii < sc_.dispatchable && (best < 0 || sc_.injections[ii].born < bt);
       if (!take_inj && best < 0) break;
@@ -1600,9 +1430,6 @@ class Engine {
 
   const SimContext& sc_;
   const fault::FaultPlan* const fp_;
-  /// Non-null only with both a fault plan and a cfg.oracle in an LOGP_MC
-  /// build; selects the strictly-ordered kernel (see dispatch).
-  sim::ChoiceOracle* const oracle_;
   const Cycles service_;
   const bool csort_;  ///< counting sort viable (dt range small enough)
   // Radix plan (0 passes = radix not viable, use counting + introsort).
@@ -1654,8 +1481,8 @@ PacketSimResult run_packet_sim(const Topology& topo,
   util::Xoshiro256StarStar rng(cfg.seed);
 
   // A null plan and a plan with no packet-level faults are the same thing
-  // from here on: fp == nullptr selects the untouched fast path, so both
-  // produce output byte-identical to the pre-fault simulator.
+  // from here on: fp == nullptr skips every verdict, so both produce output
+  // byte-identical to the pre-fault simulator.
   const fault::FaultPlan* fp = nullptr;
   if (cfg.faults != nullptr) {
     cfg.faults->validate();
@@ -1670,6 +1497,13 @@ PacketSimResult run_packet_sim(const Topology& topo,
                      "FaultPlan max_retries must fit the packed attempt "
                      "counter (< 65535)");
     }
+    const int N = topo.num_nodes();
+    for (const fault::LinkFault& lf : cfg.faults->link_faults)
+      LOGP_CHECK_MSG(lf.u >= 0 && lf.u < N && lf.v >= 0 && lf.v < N,
+                     "FaultPlan link fault (" << lf.u << ", " << lf.v
+                                              << ") names a node outside "
+                                              << topo.name() << " (nodes 0.."
+                                              << N - 1 << ")");
   }
 
   PacketSimResult result;
@@ -1779,22 +1613,18 @@ PacketSimResult run_packet_sim(const Topology& topo,
          injections[dispatchable - 1].born > cfg.drain_limit)
     --dispatchable;
 
-  // Pool pre-sizing from the capacity bound (ROADMAP item 5): LogP allows
+  // Pool pre-sizing from the capacity bound: LogP allows
   // each endpoint at most ceil(L/g) outstanding messages. The network
   // analogue takes L = diameter_hops * service (worst-case unloaded
   // transit) and g = 1/injection_rate (mean inter-injection gap), giving
   // ceil(diameter * service * rate) expected in-flight packets per
   // endpoint. Saturated runs may exceed any static bound and regrow.
   const std::size_t reserve =
-      cfg.reserve_packets > 0
-          ? static_cast<std::size_t>(cfg.reserve_packets)
-          : static_cast<std::size_t>(P) *
-                static_cast<std::size_t>(std::max<Cycles>(
-                    1, static_cast<Cycles>(std::ceil(
-                           static_cast<double>(std::max(
-                               1, topo.diameter_hops())) *
-                           static_cast<double>(service) *
-                           cfg.injection_rate))));
+      static_cast<std::size_t>(P) *
+      static_cast<std::size_t>(std::max<Cycles>(
+          1, static_cast<Cycles>(std::ceil(
+                 static_cast<double>(std::max(1, topo.diameter_hops())) *
+                 static_cast<double>(service) * cfg.injection_rate))));
 
   const SimContext sc{topo,
                       cfg,
@@ -1811,15 +1641,8 @@ PacketSimResult run_packet_sim(const Topology& topo,
   int threads = cfg.sim_threads;
   if (threads <= 0)
     threads = std::max(1u, std::thread::hardware_concurrency());
-  int num_shards =
+  const int num_shards =
       std::max(1, std::min<int>(threads, static_cast<int>(links.count())));
-#ifndef LOGP_MC_DISABLED
-  // An attached oracle must see its choice points in canonical event order;
-  // shards interleave arbitrarily inside a window, so force one shard.
-  // (Without an active fault plan the oracle is ignored — the engine has no
-  // packet-level choice points to offer.)
-  if (fp != nullptr && cfg.oracle != nullptr) num_shards = 1;
-#endif
   Engine engine(sc, threads, num_shards);
   engine.run(result);
   return result;

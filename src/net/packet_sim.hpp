@@ -15,7 +15,6 @@
 
 #include "fault/fault.hpp"
 #include "net/topology.hpp"
-#include "sim/choice.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -51,21 +50,15 @@ struct PacketSimConfig {
   Cycles drain_limit = 400000; ///< give up draining after this absolute time
   std::uint64_t seed = 0x9a7e;
   /// Intra-run engine threads (0 = one per hardware thread). 1 runs the
-  /// serial reference engine; >=2 runs the conservative bounded-lag
-  /// parallel engine (links sharded across workers, lock-step windows of
-  /// width `lookahead(cfg)`). Results are byte-identical at every value —
-  /// the canonical (time, injection-id) event order fixes the trajectory,
-  /// and per-packet statistics are reduced in that order regardless of
-  /// which worker produced them (pinned by tests/test_packet_sim.cpp).
+  /// windowed engine on one shard; >=2 shards links across workers in
+  /// lock-step windows of width `lookahead(cfg)` (conservative bounded
+  /// lag). Results are byte-identical at every value — the canonical
+  /// (time, injection-id) event order fixes the trajectory, and per-packet
+  /// statistics are reduced in that order regardless of which worker
+  /// produced them. tests/test_packet_sim.cpp pins this against a serial
+  /// reference simulator (one (time, injection-id) priority queue) that
+  /// lives in the test, not in the engine.
   int sim_threads = 1;
-  /// Event-store capacity to pre-reserve; 0 = auto from the ceil(L/g)
-  /// capacity bound: num_endpoints x ceil(diameter_hops x service x rate),
-  /// LogP's per-endpoint ceil(L/g) with L = diameter_hops x service (the
-  /// worst-case unloaded transit time) and g = 1/injection_rate (the mean
-  /// inter-injection gap) — the expected peak in-flight population, so the
-  /// steady state never regrows a hot-path buffer. Saturated runs may
-  /// exceed any static bound and are allowed to regrow.
-  std::int64_t reserve_packets = 0;
   /// Optional telemetry sink (see obs/net_telemetry.hpp): per-link
   /// utilization / queue waits plus a sampled in-flight series. Attaching a
   /// sink is purely observational — RNG draws, event order and every
@@ -75,19 +68,19 @@ struct PacketSimConfig {
   /// engine publishes net.wheel.* (time-wheel pushes, peak bucket occupancy
   /// and l2_pushes — events staged through the 64-frame second-level
   /// wheel), net.heap.spills (events past both wheel horizons),
-  /// net.kernel.{simd,faulted_simd,scalar,mc}_windows (fault-free batch,
-  /// faulted batch, strictly-ordered, and oracle-attended dispatches)
-  /// and net.sort.{counting_windows,fallbacks} once, after the run.
-  /// Attaching it never changes PacketSimResult (pinned by tests). The
+  /// net.kernel.{simd,faulted_simd}_windows (window-kernel dispatches
+  /// without and with an active fault plan) and
+  /// net.sort.{counting_windows,radix_windows,fallbacks} once, after the
+  /// run. Attaching it never changes PacketSimResult (pinned by tests). The
   /// per-(shard, window) counters depend on how work is partitioned, so —
   /// unlike every result field — their values may differ across sim_threads;
   /// byte-identity tests exclude them. Same ownership rules as the machine's
   /// registry: one owner, must outlive the run.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional deterministic fault plan (see fault/fault.hpp). Null — or a
-  /// plan with no packet-level faults — takes the unmodified fast path and
-  /// is byte-identical to the fault-free simulator. An active plan is
-  /// honored identically by the serial and parallel engines: every fault
+  /// plan with no packet-level faults — is byte-identical to the fault-free
+  /// simulator. Every LinkFault must name nodes of the topology (checked).
+  /// An active plan is honored identically at every shard count: every fault
   /// decision is a pure hash of (plan seed, injection id, attempt), so
   /// faulted results stay byte-identical at every sim_threads value. A plan
   /// with retry_timeout != 0 must satisfy retry_timeout >= lookahead(cfg)
@@ -109,17 +102,6 @@ struct PacketSimConfig {
   /// behavior — drop-and-retry on the dead route — is byte-identical to
   /// before the flag existed.
   bool reroute = false;
-  /// Optional model-checker branch oracle (see sim/choice.hpp), consulted at
-  /// the packet engine's kDrop choice points (the fault plan's drop verdict
-  /// becomes alternative 0, its negation alternative 1). Attaching an oracle
-  /// forces the strictly in-order scalar kernel on a single shard — choice
-  /// consultation order must be the canonical event order, which the batch
-  /// kernel's survivor grouping does not preserve — so an oracle that
-  /// returns 0 everywhere reproduces the oracle-free run byte-for-byte
-  /// (pinned by tests/test_packet_sim.cpp, observable as
-  /// net.kernel.mc_windows). Ignored without an active fault plan. A
-  /// -DLOGP_MC=OFF build compiles the consultation sites out entirely.
-  sim::ChoiceOracle* oracle = nullptr;
 };
 
 struct PacketSimResult {

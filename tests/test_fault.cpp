@@ -282,6 +282,38 @@ TEST(FaultPlan, RetryTimeoutBelowLookaheadIsRejected) {
   EXPECT_THROW(net::run_packet_sim(*topo, cfg), util::check_error);
 }
 
+TEST(FaultPlan, LinkFaultOutsideTopologyIsRejected) {
+  // A 4x4 torus has nodes 0..15; a plan naming node 16 (or a negative id)
+  // describes a link that cannot exist, which must fail loudly rather than
+  // silently never fire.
+  const auto topo = net::make_mesh2d(4, 4, true);
+  const fault::LinkFault bad_links[] = {
+      {15, 16, 0, 100, 0}, {16, 15, 0, 100, 2}, {-1, 0, 0, 100, 0}};
+  for (const fault::LinkFault& bad : bad_links) {
+    net::PacketSimConfig cfg = base_config();
+    fault::FaultPlan fp;
+    fp.link_faults.push_back(bad);
+    cfg.faults = &fp;
+    try {
+      net::run_packet_sim(*topo, cfg);
+      ADD_FAILURE() << "link (" << bad.u << ", " << bad.v << ") accepted";
+    } catch (const util::check_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("(" + std::to_string(bad.u) + ", " +
+                          std::to_string(bad.v) + ")"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(topo->name()), std::string::npos) << what;
+    }
+  }
+  // The highest node id is still in range.
+  net::PacketSimConfig cfg = base_config();
+  fault::FaultPlan fp;
+  fp.link_faults.push_back({15, 14, 0, 100, 0});
+  cfg.faults = &fp;
+  EXPECT_NO_THROW(net::run_packet_sim(*topo, cfg));
+}
+
 TEST(FaultPlan, PoolInvariantHoldsUnderFaults) {
   // A retried packet keeps its pool slot across attempts, so the
   // slots == peak-concurrency identity must survive fault churn.
