@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   // The obs flags (--trace/--profile/--trace-json/--metrics-csv plus
   // --critical-path FILE and --whatif SPEC) apply to the worked example
   // below; all default off, keeping stdout byte-stable.
-  const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
+  const obs::ObsFlags obs_flags =
+      obs::obs_from_args(argc, argv, obs::kMachineFlags);
   if (const int rc = exp::reject_unknown_flags(
           argc, argv,
           "[--threads N] [--trace] [--profile] [--trace-json FILE] "

@@ -37,10 +37,10 @@ Cycles simulate(const Params& prm, const SumSchedule& sched_def,
 
 int main(int argc, char** argv) {
   // --trace / --profile / --trace-json FILE apply to the worked example.
-  const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
+  const obs::ObsFlags obs_flags = obs::obs_from_args(
+      argc, argv, obs::kTraceFlag | obs::kProfileFlag | obs::kTraceJsonFlag);
   if (const int rc = exp::reject_unknown_flags(
-          argc, argv,
-          "[--trace] [--profile] [--trace-json FILE] [--metrics-csv FILE]"))
+          argc, argv, "[--trace] [--profile] [--trace-json FILE]"))
     return rc;
   std::cout << "== Figure 4: optimal summation ==\n\n";
 

@@ -33,13 +33,11 @@ namespace {
 /// Re-running is cheap and keeps the sweep itself sink-free (a parallel
 /// sweep must not share observers).
 void profile_point(const logp::net::Topology& topo, double load,
-                   int sim_threads, logp::obs::ChromeTraceWriter* trace_writer,
-                   int pid) {
+                   logp::obs::ChromeTraceWriter* trace_writer, int pid) {
   using namespace logp;
   net::PacketSimConfig cfg;
   cfg.duration = 30000;
   cfg.injection_rate = load;
-  cfg.sim_threads = sim_threads;
   obs::NetTelemetry telem;
   telem.sample_every = 500;
   cfg.telemetry = &telem;
@@ -64,18 +62,13 @@ void profile_point(const logp::net::Topology& topo, double load,
 int main(int argc, char** argv) {
   using namespace logp;
   const int threads = exp::threads_from_args(argc, argv);
-  // Intra-simulation threads for the bounded-lag engine. Output — including
-  // the --profile telemetry — is byte-identical for any value (CI diffs
-  // --sim-threads 1 against 4); only wall-clock time changes.
-  const int sim_threads = exp::sim_threads_from_args(argc, argv);
   // --profile re-runs an exemplar stable and saturated grid point with link
   // telemetry; --trace-json FILE writes their in-flight occupancy as Chrome
   // trace counter tracks. Defaults off: the summary tables stay byte-stable.
-  const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
+  const obs::ObsFlags obs_flags = obs::obs_from_args(
+      argc, argv, obs::kProfileFlag | obs::kTraceJsonFlag);
   if (const int rc = exp::reject_unknown_flags(
-          argc, argv,
-          "[--threads N] [--sim-threads N] [--trace] [--profile] "
-          "[--trace-json FILE] [--metrics-csv FILE]"))
+          argc, argv, "[--threads N] [--profile] [--trace-json FILE]"))
     return rc;
   std::cout << "== Section 5.3: latency vs offered load (packet-level) ==\n\n";
 
@@ -93,16 +86,13 @@ int main(int argc, char** argv) {
   std::vector<std::function<net::PacketSimResult()>> jobs;
   for (const auto& topo : topos)
     for (const double load : loads)
-      jobs.push_back([&topo, load, sim_threads] {
+      jobs.push_back([&topo, load] {
         net::PacketSimConfig cfg;
         cfg.duration = 30000;
         cfg.injection_rate = load;
-        cfg.sim_threads = sim_threads;
         return net::run_packet_sim(*topo, cfg);
       });
-  // Declare the intra-job parallelism so outer x inner stays within the
-  // machine (the explicit nesting policy of SweepOptions).
-  const exp::SweepRunner runner({threads, sim_threads});
+  const exp::SweepRunner runner({threads});
   const auto results = runner.map(jobs);
 
   std::size_t job = 0;
@@ -146,8 +136,8 @@ int main(int argc, char** argv) {
         obs_flags.trace_json.empty() ? nullptr : &writer;
     const auto mesh = net::make_mesh2d(8, 8, false);
     std::cout << '\n';
-    profile_point(*mesh, 0.008, sim_threads, w, 0);
-    profile_point(*mesh, 0.064, sim_threads, w, 1);
+    profile_point(*mesh, 0.008, w, 0);
+    profile_point(*mesh, 0.064, w, 1);
     std::cout << "The knee is a link story: at 0.064 the mesh's center links\n"
                  "run pinned at ~100% busy and queue wait dominates latency,\n"
                  "while at 0.008 every link still serves arrivals promptly.\n";

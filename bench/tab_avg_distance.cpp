@@ -4,6 +4,7 @@
 // deterministic routes of our topology library.
 #include <iostream>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "exp/sweep.hpp"
@@ -12,11 +13,13 @@
 
 int main(int argc, char** argv) {
   using namespace logp;
-  // Fans the exact O(P^2) route walks over the shared ThreadPool; the
-  // per-source subtotals are integers, so the table is byte-identical for
-  // any --sim-threads value.
-  const int sim_threads = exp::sim_threads_from_args(argc, argv);
-  if (const int rc = exp::reject_unknown_flags(argc, argv, "[--sim-threads N]"))
+  // --threads N (0 = one per hardware thread) fans the exact O(P^2) route
+  // walks over the shared ThreadPool; the per-source subtotals are
+  // integers, so the table is byte-identical for any value.
+  int threads = exp::threads_from_args(argc, argv);
+  if (threads <= 0)
+    threads = static_cast<int>(std::thread::hardware_concurrency());
+  if (const int rc = exp::reject_unknown_flags(argc, argv, "[--threads N]"))
     return rc;
   std::cout << "== Section 5.1: average distance between nodes ==\n\n";
 
@@ -42,7 +45,7 @@ int main(int argc, char** argv) {
     const auto& r = rows[i];
     tp.add_row({r.paper_name, r.formula,
                 util::fmt(net::formula_avg_distance(r.paper_name, 1024), 2),
-                util::fmt(r.topo->average_distance(sim_threads), 2),
+                util::fmt(r.topo->average_distance(threads), 2),
                 paper[i]});
   }
   tp.print(std::cout);

@@ -81,10 +81,10 @@ Result run_dma(const Params& prm, std::uint64_t words, Cycles overlap,
 int main(int argc, char** argv) {
   // --trace / --profile apply to one exemplar train + DMA pair (words=300,
   // full overlap), re-run after the table.
-  const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
+  const obs::ObsFlags obs_flags = obs::obs_from_args(
+      argc, argv, obs::kTraceFlag | obs::kProfileFlag | obs::kTraceJsonFlag);
   if (const int rc = exp::reject_unknown_flags(
-          argc, argv,
-          "[--trace] [--profile] [--trace-json FILE] [--metrics-csv FILE]"))
+          argc, argv, "[--trace] [--profile] [--trace-json FILE]"))
     return rc;
   const Params prm{20, 4, 8, 2};
   const Cycles G = 3;  // DMA streams one word per 3 cycles (= g per message
@@ -118,11 +118,10 @@ int main(int argc, char** argv) {
 
   if (obs_flags.any()) {
     const std::uint64_t words = 300;
-    // File outputs (--trace-json/--metrics-csv) capture the DMA run only;
-    // the train run would otherwise overwrite them.
+    // --trace-json captures the DMA run only; the train run would
+    // otherwise overwrite the file.
     obs::ObsFlags train_flags = obs_flags;
     train_flags.trace_json.clear();
-    train_flags.metrics_csv.clear();
     run_train(prm, words, static_cast<Cycles>(words) * G, &train_flags);
     run_dma(prm, words, static_cast<Cycles>(words) * G, G, &obs_flags);
   }

@@ -59,10 +59,10 @@ Cycles simulate_sum(const Params& prm, std::int64_t n) {
 int main(int argc, char** argv) {
   // --trace / --profile re-run the optimal-broadcast row's simulation with
   // recording on after the tables; defaults leave output untouched.
-  const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
+  const obs::ObsFlags obs_flags = obs::obs_from_args(
+      argc, argv, obs::kTraceFlag | obs::kProfileFlag | obs::kTraceJsonFlag);
   if (const int rc = exp::reject_unknown_flags(
-          argc, argv,
-          "[--trace] [--profile] [--trace-json FILE] [--metrics-csv FILE]"))
+          argc, argv, "[--trace] [--profile] [--trace-json FILE]"))
     return rc;
   const Params prm{20, 4, 8, 64};
   const std::int64_t n = 1 << 16;

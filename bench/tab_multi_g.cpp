@@ -20,12 +20,11 @@ using namespace logp;
 // Saturation throughput: raise load until delivered/cycle stops following
 // offered load; report the best sustained rate.
 double saturation_throughput(const net::Topology& topo,
-                             net::TrafficPattern pattern, int sim_threads) {
+                             net::TrafficPattern pattern) {
   net::PacketSimConfig cfg;
   cfg.pattern = pattern;
   cfg.duration = 15000;
   cfg.drain_limit = 120000;
-  cfg.sim_threads = sim_threads;
   double best = 0;
   for (double load = 0.002; load <= 0.26; load *= 2) {
     cfg.injection_rate = load;
@@ -40,10 +39,8 @@ double saturation_throughput(const net::Topology& topo,
 
 int main(int argc, char** argv) {
   // The doubling search is sequential (each topology's loads build on the
-  // previous verdict), so intra-simulation threads are the only parallelism
-  // here; output is byte-identical for any --sim-threads value.
-  const int sim_threads = exp::sim_threads_from_args(argc, argv);
-  if (const int rc = exp::reject_unknown_flags(argc, argv, "[--sim-threads N]"))
+  // previous verdict), so this bench runs on one thread and takes no flags.
+  if (const int rc = exp::reject_unknown_flags(argc, argv, "(no options)"))
     return rc;
   std::cout << "== Section 5.6: one network, many effective g's ==\n"
                "(saturation throughput per traffic pattern; effective gap\n"
@@ -64,10 +61,9 @@ int main(int argc, char** argv) {
     util::TablePrinter tp({"pattern", "sat. throughput", "effective g",
                            "vs uniform"});
     const double uni =
-        saturation_throughput(*topo, net::TrafficPattern::kUniform,
-                              sim_threads);
+        saturation_throughput(*topo, net::TrafficPattern::kUniform);
     for (const auto pat : patterns) {
-      const double thr = saturation_throughput(*topo, pat, sim_threads);
+      const double thr = saturation_throughput(*topo, pat);
       tp.add_row({net::traffic_pattern_name(pat), util::fmt(thr, 4),
                   util::fmt(thr > 0 ? 1.0 / thr : 0.0, 1),
                   util::fmt(thr / uni, 2)});

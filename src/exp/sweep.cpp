@@ -40,9 +40,8 @@ SweepRunner::SweepRunner(SweepOptions opts)
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   if (threads_ <= 0) threads_ = hw;
   // Nesting policy: outer sweep workers x declared inner threads must not
-  // oversubscribe the machine. The outer budget gives way (a sweep point
-  // that asked for intra-run parallelism presumably profits more from it
-  // than from grid-level concurrency), but never below one worker.
+  // oversubscribe the machine. The outer budget gives way, but never below
+  // one worker (see SweepOptions::inner_threads).
   if (inner_threads_ > 1)
     threads_ = std::max(1, std::min(threads_, hw / inner_threads_));
 }
@@ -95,10 +94,6 @@ std::vector<ExperimentResult> SweepRunner::run(
 
 int threads_from_args(int& argc, char** argv, int def) {
   return consume_int_flag(argc, argv, "--threads", def);
-}
-
-int sim_threads_from_args(int& argc, char** argv, int def) {
-  return consume_int_flag(argc, argv, "--sim-threads", def);
 }
 
 int int_from_args(int& argc, char** argv, const char* flag, int def) {

@@ -73,15 +73,15 @@ struct ExperimentResult {
 struct SweepOptions {
   /// Worker threads; 0 means one per hardware thread.
   int threads = 1;
-  /// Declared intra-job parallelism: how many threads each job may itself
-  /// use (e.g. PacketSimConfig::sim_threads for a packet-sim sweep). The
-  /// nesting policy is explicit: outer x inner must not oversubscribe the
-  /// machine, so the runner divides its worker budget by this value —
-  /// SweepOptions{0, 4} on a 16-way host runs 4 jobs concurrently, each
-  /// entitled to 4 simulator threads. Purely a budget declaration; jobs
-  /// nested inside sweep workers degrade to serial execution anyway (see
-  /// util::ThreadPool reentrancy), so the budget is also what keeps a
-  /// sim-threaded sweep from silently serializing its inner engines.
+  /// Declared intra-job parallelism. The runner divides its worker budget
+  /// by this value so that outer x inner never exceeds the hardware:
+  /// SweepOptions{0, 4} on a 16-way host runs 4 jobs concurrently. It only
+  /// narrows the sweep. It never lets a job's own parallel work run in
+  /// parallel: every util::ThreadPool::for_index issued inside a sweep body
+  /// runs inline on that worker, even in a one-thread sweep, because the
+  /// pool marks every participant of a dispatch (the serial caller
+  /// included) as in-task. No bench sets it; it is kept for source
+  /// compatibility and slated for removal.
   int inner_threads = 1;
 };
 
@@ -123,12 +123,6 @@ class SweepRunner {
 /// through so `fig3_broadcast --threads 8` works without further plumbing.
 int threads_from_args(int& argc, char** argv, int def = 1);
 
-/// Consumes `--sim-threads N` (or `--sim-threads=N`): intra-simulation
-/// threads for benches that drive net::run_packet_sim or other internally
-/// parallel engines. Output must be byte-identical for any value (CI diffs
-/// it); only wall-clock time may change.
-int sim_threads_from_args(int& argc, char** argv, int def = 1);
-
 /// Consumes an arbitrary `--name N` / `--name=N` integer flag.
 int int_from_args(int& argc, char** argv, const char* flag, int def = 0);
 
@@ -144,7 +138,7 @@ bool bool_from_args(int& argc, char** argv, const char* flag);
 /// remains, prints "unknown argument '...'" plus a one-line usage to stderr
 /// and returns 2 (conventional CLI-misuse exit code); returns 0 on a clean
 /// argv. Experiment binaries exit with the code when nonzero, so a typo
-/// like `--sim-thread` can never silently run the default configuration.
+/// like `--thread` can never silently run the default configuration.
 int reject_unknown_flags(int argc, char** argv, const char* usage);
 
 }  // namespace logp::exp

@@ -6,16 +6,16 @@
 // hash of the plan's seed and the canonical identity of the thing being
 // decided — a packet's injection id and attempt number, a message's
 // injection sequence number, a link's endpoints. No RNG stream is consumed
-// and no wall-clock or scheduling order is observed, so any thread of
-// either engine can evaluate a decision locally and all of them agree.
-// That is the property that keeps faulted runs byte-identical at every
-// sim_threads value (see DESIGN.md "Fault model").
+// and no wall-clock or scheduling order is observed, so a decision can be
+// evaluated anywhere, in any order — in a vectorized batch or one event at
+// a time — and every evaluation agrees. That is the property that keeps
+// faulted runs byte-identical with SIMD on or off and against the serial
+// reference simulator (see DESIGN.md "Fault model").
 //
 // Faults are keyed on injection id rather than processing order because the
-// parallel packet engine does not *have* a global processing order — shards
-// interleave arbitrarily inside a window. The injection id is the packet's
-// index in the (born, src)-sorted injection array, a total order both
-// engines share by construction.
+// windowed packet engine classifies a window's events in batches, not one
+// by one. The injection id is the packet's index in the (born, src)-sorted
+// injection array, a total order every engine shares by construction.
 #pragma once
 
 #include <cstddef>
@@ -70,8 +70,8 @@ struct FaultPlan {
   /// Retransmission: a dropped or corrupted attempt is re-dispatched from
   /// hop 0 this many cycles after the loss, up to max_retries times.
   /// 0 disables retransmission (losses are final). When nonzero it must be
-  /// >= net::lookahead(cfg): the retry is a self-interaction of the packet,
-  /// and the bounded-lag engine only guarantees causality one lookahead out.
+  /// >= net::lookahead(cfg): a retry closer than one window would be pushed
+  /// into the bucket the packet engine's window kernel is reading.
   Cycles retry_timeout = 0;
   int max_retries = 0;
   /// Per-packet injection delay, uniform-by-hash in [0, max_injection_delay]

@@ -49,15 +49,10 @@ struct PacketSimConfig {
   Cycles duration = 20000;     ///< measured injection window
   Cycles drain_limit = 400000; ///< give up draining after this absolute time
   std::uint64_t seed = 0x9a7e;
-  /// Intra-run engine threads (0 = one per hardware thread). 1 runs the
-  /// windowed engine on one shard; >=2 shards links across workers in
-  /// lock-step windows of width `lookahead(cfg)` (conservative bounded
-  /// lag). Results are byte-identical at every value — the canonical
-  /// (time, injection-id) event order fixes the trajectory, and per-packet
-  /// statistics are reduced in that order regardless of which worker
-  /// produced them. tests/test_packet_sim.cpp pins this against a serial
-  /// reference simulator (one (time, injection-id) priority queue) that
-  /// lives in the test, not in the engine.
+  /// Must be 1: the engine runs one simulation on the caller's thread, and
+  /// run_packet_sim rejects any other value. Independent simulations run
+  /// in parallel through exp::SweepRunner. Kept only so callers that still
+  /// assign 1 compile; slated for removal.
   int sim_threads = 1;
   /// Optional telemetry sink (see obs/net_telemetry.hpp): per-link
   /// utilization / queue waits plus a sampled in-flight series. Attaching a
@@ -72,20 +67,18 @@ struct PacketSimConfig {
   /// without and with an active fault plan) and
   /// net.sort.{counting_windows,radix_windows,fallbacks} once, after the
   /// run. Attaching it never changes PacketSimResult (pinned by tests). The
-  /// per-(shard, window) counters depend on how work is partitioned, so —
-  /// unlike every result field — their values may differ across sim_threads;
-  /// byte-identity tests exclude them. Same ownership rules as the machine's
-  /// registry: one owner, must outlive the run.
+  /// counters describe the engine's batching, not the simulated network, so
+  /// byte-identity tests exclude them. Same ownership rules as the
+  /// machine's registry: one owner, must outlive the run.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional deterministic fault plan (see fault/fault.hpp). Null — or a
   /// plan with no packet-level faults — is byte-identical to the fault-free
   /// simulator. Every LinkFault must name nodes of the topology (checked).
-  /// An active plan is honored identically at every shard count: every fault
-  /// decision is a pure hash of (plan seed, injection id, attempt), so
-  /// faulted results stay byte-identical at every sim_threads value. A plan
-  /// with retry_timeout != 0 must satisfy retry_timeout >= lookahead(cfg)
-  /// (a retry is a cross-shard self-interaction of the packet; the bounded-
-  /// lag engine only guarantees causality one lookahead out).
+  /// Every fault decision is a pure hash of (plan seed, injection id,
+  /// attempt), so it does not depend on how the engine batches events. A
+  /// plan with retry_timeout != 0 must satisfy retry_timeout >=
+  /// lookahead(cfg): a retry closer than one window would be pushed into
+  /// the bucket the window kernel is reading.
   const fault::FaultPlan* faults = nullptr;
   /// Fault-aware rerouting (opt-in). When the attached plan carries link
   /// kill intervals (LinkFault::degrade == 0), routes become epoch-stamped:
@@ -96,8 +89,8 @@ struct PacketSimConfig {
   /// route of its dispatch epoch (injection or retry instant); a retry
   /// whose re-dispatch lands in a different epoch recommits, so traffic
   /// detours around an outage and returns to the base route after the heal.
-  /// All variants are resolved in the serial pre-pass, so results stay
-  /// byte-identical at every sim_threads and SIMD setting (pinned by
+  /// All variants are resolved in the pre-pass, before the engine starts,
+  /// so results stay byte-identical with SIMD on or off (pinned by
   /// tests/test_packet_sim.cpp). Default off: historical kill-fault
   /// behavior — drop-and-retry on the dead route — is byte-identical to
   /// before the flag existed.
@@ -135,24 +128,15 @@ struct PacketSimResult {
 PacketSimResult run_packet_sim(const Topology& topo,
                                const PacketSimConfig& cfg);
 
-/// Conservative lookahead of the parallel engine: every cross-shard
-/// interaction is carried by a packet hop of at least `hop_delay + phits`
-/// cycles, so an event processed at time t can only influence times
-/// >= t + lookahead — shards advancing in lock-step windows of this width
-/// never violate causality (derivation in DESIGN.md: this is the per-hop
-/// share of LogP's L, the same bounded-synchronization structure BSP-style
-/// supersteps exploit).
+/// Window width of the engine: every hop occupies a link for at least
+/// `hop_delay + phits` cycles, so an event processed at time t can only
+/// schedule events at >= t + lookahead. Time advances in aligned windows of
+/// this width, so a window's population is complete when it opens and the
+/// window kernel sorts and processes it in one batch (derivation in
+/// DESIGN.md: this is the per-hop share of LogP's L).
 inline Cycles lookahead(const PacketSimConfig& cfg) {
   return cfg.hop_delay + static_cast<Cycles>(cfg.phits);
 }
-
-/// Link -> shard ownership map of the parallel engine: round-robin over the
-/// dense link ids (first-touch order clusters ids spatially, so round-robin
-/// spreads a mesh's hot center links across shards). Every link is owned by
-/// exactly one shard — only the owner ever touches its channel state.
-/// Exposed for tests/test_packet_sim.cpp.
-std::vector<std::int32_t> assign_link_shards(std::size_t num_links,
-                                             int shards);
 
 /// Unloaded end-to-end time for one packet over `hops` hops.
 inline double unloaded_packet_time(const PacketSimConfig& cfg, double hops) {

@@ -25,21 +25,26 @@ bool value_flag(const char* name, int argc, char** argv, int& i,
 
 }  // namespace
 
-ObsFlags obs_from_args(int& argc, char** argv) {
+ObsFlags obs_from_args(int& argc, char** argv, unsigned honoured) {
   ObsFlags flags;
+  const auto on = [honoured](unsigned bit) { return (honoured & bit) != 0; };
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
+    if (on(kTraceFlag) && std::strcmp(argv[i], "--trace") == 0) {
       flags.trace = true;
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
+    } else if (on(kProfileFlag) && std::strcmp(argv[i], "--profile") == 0) {
       flags.profile = true;
-    } else if (value_flag("--trace-json", argc, argv, i, &flags.trace_json)) {
-    } else if (value_flag("--metrics-csv", argc, argv, i,
-                          &flags.metrics_csv)) {
-    } else if (value_flag("--critical-path", argc, argv, i,
+    } else if (on(kTraceJsonFlag) &&
+               value_flag("--trace-json", argc, argv, i, &flags.trace_json)) {
+    } else if (on(kMetricsCsvFlag) && value_flag("--metrics-csv", argc, argv,
+                                                 i, &flags.metrics_csv)) {
+    } else if (on(kCriticalPathFlag) &&
+               value_flag("--critical-path", argc, argv, i,
                           &flags.critical_path)) {
-    } else if (value_flag("--whatif", argc, argv, i, &flags.whatif)) {
-    } else if (value_flag("--links-csv", argc, argv, i, &flags.links_csv)) {
+    } else if (on(kWhatifFlag) &&
+               value_flag("--whatif", argc, argv, i, &flags.whatif)) {
+    } else if (on(kLinksCsvFlag) &&
+               value_flag("--links-csv", argc, argv, i, &flags.links_csv)) {
     } else {
       argv[out++] = argv[i];
     }

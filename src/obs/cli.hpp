@@ -1,28 +1,23 @@
-// Uniform observability CLI flags for the figure/table bench binaries.
-//
-// Every bench that runs a Scheduler consumes these (in addition to the
-// sweep harness's --threads):
+// Uniform observability CLI flags for the figure/table bench binaries:
 //
 //   --trace              print the exemplar run's activity-interval CSV
 //   --profile            print the exemplar run's LogP signature table
+//                        (packet-level: its per-link telemetry table)
 //   --trace-json FILE    write a Chrome trace (chrome://tracing / Perfetto)
 //   --metrics-csv FILE   dump the metrics registry attached to the run
 //   --critical-path FILE write the critical-path artifact (.csv = chain
 //                        table, otherwise JSON; obs/critical_path.hpp)
 //   --whatif SPEC        print predicted finish under scaled parameters,
 //                        e.g. "L=0.5x,o=2x" (obs/whatif.hpp)
-//
-// All default off, so default output stays byte-identical (CI diffs it).
-// Like exp::threads_from_args, parsing consumes the flags from argv.
-//
-// Packet-level benches (fig_large_p, fig_fault_degradation) support the
-// --profile/--trace-json/--metrics-csv subset via emit_packet_obs, plus
-//
 //   --links-csv FILE     dump the per-link telemetry CSV (utilization-ranked
 //                        rows with the drops/retransmits/reroutes series;
 //                        tools/trace_summary.py renders it)
 //
-// the machine-only flags are rejected up front by reject_machine_only_flags.
+// All default off, so default output stays byte-identical (CI diffs it).
+// Each bench passes obs_from_args the subset it honours; like
+// exp::threads_from_args, parsing consumes those flags from argv and
+// leaves every other one there, so the bench's exp::reject_unknown_flags
+// call rejects an obs flag it would ignore with exit 2 and its usage.
 #pragma once
 
 #include <fstream>
@@ -39,6 +34,24 @@
 #include "util/check.hpp"
 
 namespace logp::obs {
+
+/// One bit per flag above, so a bench can name the subset it honours.
+enum ObsFlagBits : unsigned {
+  kTraceFlag = 1u << 0,         ///< --trace
+  kProfileFlag = 1u << 1,       ///< --profile
+  kTraceJsonFlag = 1u << 2,     ///< --trace-json FILE
+  kMetricsCsvFlag = 1u << 3,    ///< --metrics-csv FILE
+  kCriticalPathFlag = 1u << 4,  ///< --critical-path FILE
+  kWhatifFlag = 1u << 5,        ///< --whatif SPEC
+  kLinksCsvFlag = 1u << 6,      ///< --links-csv FILE
+  /// Everything emit_machine_obs serves when the exemplar run records
+  /// intervals and has a MetricsRegistry and a CritPathRecorder attached.
+  kMachineFlags = kTraceFlag | kProfileFlag | kTraceJsonFlag |
+                  kMetricsCsvFlag | kCriticalPathFlag | kWhatifFlag,
+  /// Everything emit_packet_obs serves.
+  kPacketFlags = kProfileFlag | kTraceJsonFlag | kMetricsCsvFlag |
+                 kLinksCsvFlag,
+};
 
 struct ObsFlags {
   bool trace = false;
@@ -61,8 +74,10 @@ struct ObsFlags {
   }
 };
 
-/// Consumes the flags above from argv (threads_from_args-style).
-ObsFlags obs_from_args(int& argc, char** argv);
+/// Consumes the flags named in `honoured` (ObsFlagBits) from argv,
+/// threads_from_args-style. Obs flags outside `honoured` stay in argv for
+/// exp::reject_unknown_flags.
+ObsFlags obs_from_args(int& argc, char** argv, unsigned honoured);
 
 /// Writes `content` to `path`, reporting the write on `err` (benches keep
 /// stdout byte-deterministic for CI diffs; file notices go to stderr).
@@ -70,17 +85,15 @@ void write_file(const std::string& path, const std::string& content,
                 std::ostream& err = std::cerr);
 
 /// Emits everything the flags ask for from one finished machine run.
-/// `metrics` may be null (then --metrics-csv writes an empty registry note).
-/// `cp` is the recorder the caller attached when flags.wants_critpath();
-/// when present its analysis also overlays the Chrome trace.
+/// --metrics-csv needs `metrics`, and --critical-path / --whatif need `cp`,
+/// the recorder the caller attached when flags.wants_critpath(); a bench
+/// that passes neither must not honour those flags. When present, the
+/// recorder's analysis also overlays the Chrome trace.
 /// Header-only so logp_obs does not link logp_sim.
 inline void emit_machine_obs(const ObsFlags& flags, const sim::Machine& m,
                              const std::string& label, std::ostream& out,
                              const MetricsRegistry* metrics = nullptr,
                              const CritPathRecorder* cp = nullptr) {
-  LOGP_CHECK_MSG(flags.links_csv.empty(),
-                 "--links-csv needs a packet-level run; this bench is "
-                 "machine-level");
   if (flags.profile) {
     const LogPProfile prof = profile_machine(m);
     prof.check_invariant();
@@ -104,8 +117,11 @@ inline void emit_machine_obs(const ObsFlags& flags, const sim::Machine& m,
     if (!rep.empty()) w.add_critical_path(rep);
     write_file(flags.trace_json, w.str());
   }
-  if (!flags.metrics_csv.empty() && metrics)
+  if (!flags.metrics_csv.empty()) {
+    LOGP_CHECK_MSG(metrics != nullptr,
+                   "--metrics-csv requires a registry-attached run");
     write_file(flags.metrics_csv, metrics->to_csv());
+  }
   if (!flags.critical_path.empty()) {
     LOGP_CHECK_MSG(cp != nullptr,
                    "--critical-path requires a recorder-attached run");
@@ -123,22 +139,6 @@ inline void emit_machine_obs(const ObsFlags& flags, const sim::Machine& m,
     out << '\n' << "-- " << label << ": what-if --\n"
         << whatif_table({whatif(*cp, *spec)});
   }
-}
-
-/// Rejects the machine-only flags in benches whose exemplar run is the
-/// packet-level simulator (no Machine, so no activity intervals and no
-/// message/compute DAG to record). Returns the process exit code (0 = ok),
-/// reject_unknown_flags-style.
-inline int reject_machine_only_flags(const ObsFlags& flags, const char* prog,
-                                     std::ostream& err = std::cerr) {
-  if (flags.trace || flags.wants_critpath()) {
-    err << prog
-        << ": --trace / --critical-path / --whatif need a machine-level "
-           "run; this bench is packet-level (supported: --profile "
-           "--trace-json --metrics-csv)\n";
-    return 2;
-  }
-  return 0;
 }
 
 /// Emits the packet-level subset from one finished run_packet_sim call:

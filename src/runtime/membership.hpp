@@ -7,8 +7,7 @@
 // an explicit state-sync message that pays real o/g/L through the reliable
 // layer. Because detector verdicts are deterministic functions of simulated
 // time, every healthy observer bumps its epoch at a deterministic cycle and
-// the whole protocol is byte-identical at any --sim-threads or SIMD
-// setting.
+// the whole protocol is byte-identical at any --threads or SIMD setting.
 //
 // Rejoin protocol (the fault::ProcFault::recover_at loop):
 //   1. The revived processor sends JOIN to the lowest processor its (stale)

@@ -220,12 +220,12 @@ void Scheduler::pump(ProcId p) {
   while (machine_.cpu_idle(p)) {
     const bool have_arrivals = machine_.arrivals_pending(p) > 0;
     const bool have_ready = !ps.ready.empty();
-    // Accept-priority only jumps the queue when the receive port is ready;
-    // otherwise starting the reception would park the CPU in a gap wait
-    // while runnable tasks (e.g. replies to send) starve.
-    const bool accept_now =
-        have_arrivals && (machine_.recv_port_ready(p) || !have_ready);
-    if (accept_now && (accept_priority_ || !have_ready)) {
+    // Arrivals jump ahead of ready tasks (drain the network first), but
+    // only when the receive port is ready; otherwise starting the
+    // reception would park the CPU in a gap wait while runnable tasks
+    // (e.g. replies to send) starve. With nothing else to do, an arrival
+    // is accepted even if that means waiting for the port.
+    if (have_arrivals && (machine_.recv_port_ready(p) || !have_ready)) {
       machine_.start_accept(p);
       continue;  // CPU is now engaged (or waiting on the receive port)
     }
@@ -234,10 +234,6 @@ void Scheduler::pump(ProcId p) {
       ps.ready.pop_front();
       resume(p, h);
       resumed = true;
-      continue;
-    }
-    if (have_arrivals) {
-      machine_.start_accept(p);  // nothing else to do; wait for the port
       continue;
     }
     break;  // genuinely idle

@@ -120,9 +120,6 @@ class Scheduler final : public sim::Host {
   void set_program(Program program) { program_ = std::move(program); }
   /// Install an active-message handler for `tag` on all processors.
   void set_handler(std::int32_t tag, Handler h);
-  /// When false, ready tasks are resumed before pending arrivals are
-  /// accepted (default true: drain the network first).
-  void set_accept_priority(bool v) { accept_priority_ = v; }
 
   /// Runs to quiescence. Throws DeadlockError if any task remains blocked,
   /// and rethrows the first exception escaping any task.
@@ -221,7 +218,6 @@ class Scheduler final : public sim::Host {
   Program program_;
   std::vector<std::pair<std::int32_t, Handler>> handlers_;
   std::vector<PState> pstates_;
-  bool accept_priority_ = true;
   std::exception_ptr first_error_;
   bool ran_ = false;
   bool degraded_ = false;

@@ -21,7 +21,6 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
     ++epoch_;
-    epoch_fast_.store(epoch_, std::memory_order_release);
   }
   wake_.notify_all();
   for (auto& t : threads_) t.join();
@@ -53,13 +52,6 @@ void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
   for (;;) {
-    // Spin briefly before sleeping: the windowed simulator dispatches
-    // thousands of back-to-back jobs, and a condition-variable sleep/notify
-    // round trip per window would dominate the per-window work.
-    for (int spin = 0;
-         spin < 4096 && epoch_fast_.load(std::memory_order_acquire) == seen;
-         ++spin) {
-    }
     lk.lock();
     wake_.wait(lk, [&] { return stop_ || epoch_ != seen; });
     if (stop_) return;
@@ -105,7 +97,6 @@ void ThreadPool::for_index(std::size_t n, int parallelism,
       std::lock_guard<std::mutex> lk(mu_);
       job_ = &job;
       ++epoch_;
-      epoch_fast_.store(epoch_, std::memory_order_release);
     }
     wake_.notify_all();
     run_indices(job);  // the caller is a participant

@@ -1,12 +1,9 @@
-// Reusable worker-thread pool shared by every intra-process parallel layer.
-//
-// PR 1's sweep harness spawned fresh std::threads on every run() call; the
-// bounded-lag packet simulator (net/packet_sim.cpp) dispatches thousands of
-// short windows per run, where thread spawn/join latency would dwarf the
-// work. This pool keeps workers resident: a dispatch is one atomic epoch
-// bump plus (for sleeping workers) a condition-variable notify, and idle
-// workers spin briefly before sleeping so back-to-back dispatches — the
-// window cadence of the parallel simulator — stay in the fast path.
+// Reusable worker-thread pool shared by every intra-process parallel layer:
+// the sweep harness (exp::SweepRunner), Topology::average_distance and the
+// model checker's explorer shards. Each dispatches once per sweep, route
+// walk or exploration, so workers simply sleep on a condition variable
+// between dispatches; keeping them resident saves a thread spawn/join per
+// call. A dispatch is one epoch bump plus a notify.
 //
 // Semantics (deliberately identical to the old SweepRunner inline pool):
 //
@@ -18,12 +15,13 @@
 //    lowest-index one is rethrown — failure behaviour never depends on
 //    worker interleaving.
 //  * Reentrancy: a for_index issued from inside a pool task (nested
-//    parallelism, e.g. a parallel packet sim inside a sweep worker) runs
-//    inline on the caller, serially. Every parallel algorithm built on the
-//    pool must therefore be correct under serial execution of its tasks —
-//    the windowed simulator is (tasks within a window are independent) —
-//    and nested use degrades to the explicit nesting policy of
-//    exp::SweepRunner instead of deadlocking or oversubscribing.
+//    parallelism, e.g. a parallel average_distance inside a sweep worker)
+//    runs inline on the caller, serially. The caller of a serial dispatch
+//    counts as in-task too, so this holds even inside a one-thread sweep.
+//    Every parallel algorithm built on the pool must therefore be correct
+//    under serial execution of its tasks, and nested use degrades to the
+//    explicit nesting policy of exp::SweepRunner instead of deadlocking or
+//    oversubscribing.
 #pragma once
 
 #include <atomic>
@@ -83,7 +81,6 @@ class ThreadPool {
   std::condition_variable done_;
   Job* job_ = nullptr;                 ///< current dispatch, null when idle
   std::uint64_t epoch_ = 0;            ///< bumped per dispatch
-  std::atomic<std::uint64_t> epoch_fast_{0};  ///< lock-free mirror for spinners
   bool stop_ = false;
   std::vector<std::thread> threads_;
 };

@@ -378,7 +378,6 @@ TEST(PacketMetrics, FaultFreeRunDispatchesOnlySimdWindows) {
   EXPECT_EQ(reg.counter("net.kernel.faulted_simd_windows")->value(), 0)
       << "no fault plan attached";
   EXPECT_GT(reg.counter("net.sort.counting_windows")->value(), 0);
-  EXPECT_EQ(reg.gauge("net.shards")->value(), 1);
 }
 
 TEST(PacketMetrics, FaultedRunDispatchesBatchKernelWindows) {

@@ -13,6 +13,7 @@
 #include "net/packet_sim.hpp"
 #include "net/topology.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/cli.hpp"
 #include "obs/metrics.hpp"
 #include "obs/net_telemetry.hpp"
 #include "obs/profiler.hpp"
@@ -359,6 +360,69 @@ TEST(NetTelemetry, SaturatedRunShowsHotLinks) {
       << "beyond the knee some link must be pinned near 100% busy";
   EXPECT_GT(telem.total_queue_wait(), 0);
   EXPECT_GT(telem.max_backlog(), 0);
+}
+
+// ---- CLI flags -------------------------------------------------------------
+
+TEST(ObsCli, ConsumesOnlyHonouredFlags) {
+  // A bench passes the obs flags it honours; every other obs flag stays in
+  // argv so reject_unknown_flags turns it into exit 2 with usage instead of
+  // a silent no-op (or an abort after the run).
+  std::vector<std::string> args = {"prog",
+                                   "--trace",
+                                   "--profile",
+                                   "--metrics-csv", "m.csv",
+                                   "--trace-json", "t.json",
+                                   "--links-csv=l.csv",
+                                   "--whatif", "L=2x",
+                                   "--critical-path", "c.json"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  int argc = static_cast<int>(argv.size());
+  const obs::ObsFlags f = obs::obs_from_args(
+      argc, argv.data(), obs::kProfileFlag | obs::kTraceJsonFlag);
+  EXPECT_TRUE(f.profile);
+  EXPECT_EQ(f.trace_json, "t.json");
+  EXPECT_FALSE(f.trace);
+  EXPECT_TRUE(f.metrics_csv.empty());
+  EXPECT_TRUE(f.links_csv.empty());
+  EXPECT_FALSE(f.wants_critpath());
+  const std::vector<std::string> left(argv.begin() + 1, argv.begin() + argc);
+  EXPECT_EQ(left,
+            (std::vector<std::string>{"--trace", "--metrics-csv", "m.csv",
+                                      "--links-csv=l.csv", "--whatif", "L=2x",
+                                      "--critical-path", "c.json"}));
+  EXPECT_EQ(exp::reject_unknown_flags(argc, argv.data(),
+                                      "[--profile] [--trace-json FILE]"),
+            2);
+}
+
+TEST(ObsCli, FlagSetsCoverTheirEmitters) {
+  std::vector<std::string> args = {"prog",
+                                   "--trace",
+                                   "--profile",
+                                   "--trace-json=t.json",
+                                   "--metrics-csv", "m.csv",
+                                   "--links-csv", "l.csv",
+                                   "--whatif", "o=0.5x",
+                                   "--critical-path=c.csv"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  int argc = static_cast<int>(argv.size());
+  const obs::ObsFlags m =
+      obs::obs_from_args(argc, argv.data(), obs::kMachineFlags);
+  EXPECT_TRUE(m.trace && m.profile);
+  EXPECT_EQ(m.trace_json, "t.json");
+  EXPECT_EQ(m.metrics_csv, "m.csv");
+  EXPECT_EQ(m.whatif, "o=0.5x");
+  EXPECT_EQ(m.critical_path, "c.csv");
+  // --links-csv is packet-level only: the machine set leaves it behind.
+  ASSERT_EQ(argc, 3);
+  EXPECT_STREQ(argv[1], "--links-csv");
+  const obs::ObsFlags p =
+      obs::obs_from_args(argc, argv.data(), obs::kPacketFlags);
+  EXPECT_EQ(p.links_csv, "l.csv");
+  EXPECT_EQ(argc, 1);
 }
 
 // ---- sweep integration ---------------------------------------------------

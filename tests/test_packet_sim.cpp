@@ -1,19 +1,17 @@
-// Pins the packet-level network simulator's three core contracts:
+// Pins the packet-level network simulator's core contracts:
 //
 //  * Zero allocation on the hot path: pooled packet slots recycle (no growth
 //    after warmup) and pre-reserved capacities absorb 4x the workload with
 //    O(1) extra allocations (counted by a replacement operator new).
 //  * Golden byte-identity: results are bit-for-bit reproducible. The golden
 //    values below were captured under the canonical (time, injection-id)
-//    event order — they pin today's trajectory against accidental change,
-//    at every sim_threads value.
-//  * Reference identity: the golden, saturation and fault-family tests also
-//    diff every result field against a serial simulator defined below —
-//    one priority queue over that canonical order, no windows, SIMD,
-//    shards or reroute.
-//  * Thread-count invariance: the bounded-lag parallel engine must produce
-//    byte-identical results AND telemetry to the serial engine for every
-//    traffic pattern x topology pair at sim_threads in {1, 2, 4, 8}.
+//    event order — they pin today's trajectory against accidental change.
+//  * Reference identity: the golden, pattern x topology, saturation and
+//    fault-family tests also diff every result field against a serial
+//    simulator defined below — one priority queue over that canonical
+//    order, no windows, SIMD or reroute.
+//  * SIMD invisibility: forcing every kernel through its scalar reference
+//    reproduces the SIMD run's results AND telemetry bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,12 +22,14 @@
 #include <memory>
 #include <new>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
 #include "net/packet_sim.hpp"
 #include "net/topology.hpp"
 #include "obs/net_telemetry.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/stats.hpp"
@@ -67,7 +67,7 @@ PacketSimConfig golden_config(TrafficPattern p) {
 // An oracle that shares none of the engine's machinery: every pending event
 // sits in one priority queue keyed (time, injection id) and is processed
 // strictly in that canonical order. There are no windows, wheels, sorts,
-// SIMD kernels, shards, outcome records or rerouting, and it reaches the
+// SIMD kernels, outcome records or rerouting, and it reaches the
 // library only through public API: Topology routing, the scalar FaultPlan
 // predicates, the RNG and the stats types.
 
@@ -366,7 +366,7 @@ struct Golden {
 /// (time, injection-id) event order (torus 8x8, rate 0.02, duration 10000,
 /// default seed). Exact doubles: the simulator is integer-cycle arithmetic
 /// plus a fixed-order deterministic accumulation, so any drift — including
-/// from the parallel engine's reduction — is a bug, not noise.
+/// from the engine's batched reduction — is a bug, not noise.
 const Golden kGolden[] = {
     {15204, 12737, false, 0x1.b339aa9613c96p+5, 0x1.1012a7b069c8dp+9,
      0x1.8p+3, 0x1.44p+7, 0x1.7e242c14e1784p+6},  // uniform
@@ -388,33 +388,27 @@ const TrafficPattern kPatterns[] = {
 TEST(PacketSim, ByteIdenticalToGoldenRunPerPattern) {
   const auto topo = make_mesh2d(8, 8, true);
   for (std::size_t i = 0; i < std::size(kPatterns); ++i) {
-    const auto expected =
-        reference_packet_sim(*topo, golden_config(kPatterns[i]));
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(traffic_pattern_name(kPatterns[i])) +
-                   " sim_threads=" + std::to_string(threads));
-      PacketSimConfig cfg = golden_config(kPatterns[i]);
-      cfg.sim_threads = threads;
-      const auto r = run_packet_sim(*topo, cfg);
-      expect_same_result(expected, r);
-      const Golden& g = kGolden[i];
-      EXPECT_EQ(r.injected, g.injected);
-      EXPECT_EQ(r.delivered, g.delivered);
-      EXPECT_EQ(r.saturated, g.saturated);
-      // None of these golden runs hits the drain limit, and no fault plan is
-      // attached: the truncation/fault surface must stay all-zero.
-      EXPECT_FALSE(r.truncated);
-      EXPECT_EQ(r.undrained, 0);
-      EXPECT_EQ(r.dropped, 0);
-      EXPECT_EQ(r.corrupted, 0);
-      EXPECT_EQ(r.retransmitted, 0);
-      EXPECT_EQ(r.lost, 0);
-      EXPECT_EQ(r.latency.mean(), g.mean);
-      EXPECT_EQ(r.latency.variance(), g.variance);
-      EXPECT_EQ(r.latency.min(), g.min);
-      EXPECT_EQ(r.latency.max(), g.max);
-      EXPECT_EQ(r.p95_latency, g.p95);
-    }
+    SCOPED_TRACE(traffic_pattern_name(kPatterns[i]));
+    const PacketSimConfig cfg = golden_config(kPatterns[i]);
+    const auto r = run_packet_sim(*topo, cfg);
+    expect_same_result(reference_packet_sim(*topo, cfg), r);
+    const Golden& g = kGolden[i];
+    EXPECT_EQ(r.injected, g.injected);
+    EXPECT_EQ(r.delivered, g.delivered);
+    EXPECT_EQ(r.saturated, g.saturated);
+    // None of these golden runs hits the drain limit, and no fault plan is
+    // attached: the truncation/fault surface must stay all-zero.
+    EXPECT_FALSE(r.truncated);
+    EXPECT_EQ(r.undrained, 0);
+    EXPECT_EQ(r.dropped, 0);
+    EXPECT_EQ(r.corrupted, 0);
+    EXPECT_EQ(r.retransmitted, 0);
+    EXPECT_EQ(r.lost, 0);
+    EXPECT_EQ(r.latency.mean(), g.mean);
+    EXPECT_EQ(r.latency.variance(), g.variance);
+    EXPECT_EQ(r.latency.min(), g.min);
+    EXPECT_EQ(r.latency.max(), g.max);
+    EXPECT_EQ(r.p95_latency, g.p95);
   }
 }
 
@@ -467,7 +461,10 @@ void expect_identical(const PacketSimResult& a, const obs::NetTelemetry& ta,
   }
 }
 
-TEST(PacketSim, ThreadCountInvariantAcrossPatternsAndTopologies) {
+TEST(PacketSim, MatchesReferenceAcrossPatternsAndTopologies) {
+  // Every traffic pattern on a torus, a hypercube and an open mesh, with a
+  // telemetry sink attached: the engine's result surface equals the serial
+  // reference's.
   struct Case {
     const char* name;
     std::unique_ptr<Topology> topo;
@@ -478,36 +475,21 @@ TEST(PacketSim, ThreadCountInvariantAcrossPatternsAndTopologies) {
   cases[2] = {"mesh8x8", make_mesh2d(8, 8, false)};
   for (const auto& c : cases) {
     for (const auto pat : kPatterns) {
-      PacketSimConfig base = golden_config(pat);
-      obs::NetTelemetry ref_telem;
-      ref_telem.sample_every = 500;
-      base.telemetry = &ref_telem;
-      base.sim_threads = 1;
-      const auto ref = run_packet_sim(*c.topo, base);
-      {
-        SCOPED_TRACE(std::string(c.name) + "/" + traffic_pattern_name(pat) +
-                     " reference");
-        expect_same_result(reference_packet_sim(*c.topo, base), ref);
-      }
-      for (const int threads : {2, 4, 8}) {
-        SCOPED_TRACE(std::string(c.name) + "/" + traffic_pattern_name(pat) +
-                     " sim_threads=" + std::to_string(threads));
-        PacketSimConfig cfg = base;
-        obs::NetTelemetry telem;
-        telem.sample_every = 500;
-        cfg.telemetry = &telem;
-        cfg.sim_threads = threads;
-        const auto r = run_packet_sim(*c.topo, cfg);
-        expect_identical(ref, ref_telem, r, telem);
-      }
+      SCOPED_TRACE(std::string(c.name) + "/" + traffic_pattern_name(pat));
+      PacketSimConfig cfg = golden_config(pat);
+      obs::NetTelemetry telem;
+      telem.sample_every = 500;
+      cfg.telemetry = &telem;
+      expect_same_result(reference_packet_sim(*c.topo, cfg),
+                         run_packet_sim(*c.topo, cfg));
     }
   }
 }
 
-TEST(PacketSim, ThreadCountInvariantWhenSaturated) {
+TEST(PacketSim, MatchesReferenceWhenSaturated) {
   // Saturation truncates the run mid-flight (events parked past the drain
-  // limit); the parallel engine must park the same set and report the same
-  // flag, counters, and telemetry horizon.
+  // limit); the engine must park the same set as the serial reference and
+  // report the same flag and counters.
   const auto topo = make_mesh2d(8, 8, false);
   PacketSimConfig base;
   base.pattern = TrafficPattern::kHotspot;
@@ -515,10 +497,9 @@ TEST(PacketSim, ThreadCountInvariantWhenSaturated) {
   base.injection_rate = 0.1;
   base.duration = 15000;
   base.drain_limit = 60000;
-  obs::NetTelemetry ref_telem;
-  ref_telem.sample_every = 500;
-  base.telemetry = &ref_telem;
-  base.sim_threads = 1;
+  obs::NetTelemetry telem;
+  telem.sample_every = 500;
+  base.telemetry = &telem;
   const auto ref = run_packet_sim(*topo, base);
   EXPECT_TRUE(ref.saturated);
   // Giving up the drain is exactly what `truncated` reports, and the packets
@@ -529,20 +510,7 @@ TEST(PacketSim, ThreadCountInvariantWhenSaturated) {
   EXPECT_TRUE(ref.truncated);
   EXPECT_GT(ref.undrained, 0);
   EXPECT_LE(ref.undrained, ref.injected - ref.delivered);
-  {
-    SCOPED_TRACE("reference");
-    expect_same_result(reference_packet_sim(*topo, base), ref);
-  }
-  for (const int threads : {2, 4, 8}) {
-    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-    PacketSimConfig cfg = base;
-    obs::NetTelemetry telem;
-    telem.sample_every = 500;
-    cfg.telemetry = &telem;
-    cfg.sim_threads = threads;
-    const auto r = run_packet_sim(*topo, cfg);
-    expect_identical(ref, ref_telem, r, telem);
-  }
+  expect_same_result(reference_packet_sim(*topo, base), ref);
 }
 
 TEST(PacketSim, SaturationFlagStableAcrossIdenticalRuns) {
@@ -575,14 +543,10 @@ TEST(PacketSim, DrainLimitCutMatchesReferenceAtEveryWindowOffset) {
   cfg.duration = 2000;
   for (Cycles limit = 1200; limit < 1200 + lookahead(cfg); ++limit) {
     cfg.drain_limit = limit;
+    SCOPED_TRACE("drain_limit=" + std::to_string(limit));
     const auto expected = reference_packet_sim(*topo, cfg);
     EXPECT_TRUE(expected.truncated);
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE("drain_limit=" + std::to_string(limit) +
-                   " sim_threads=" + std::to_string(threads));
-      cfg.sim_threads = threads;
-      expect_same_result(expected, run_packet_sim(*topo, cfg));
-    }
+    expect_same_result(expected, run_packet_sim(*topo, cfg));
   }
 }
 
@@ -606,7 +570,7 @@ TEST(PacketSim, SimdOnOffByteIdenticalEverywhere) {
   // The vector kernels must be invisible: forcing every kernel through its
   // scalar reference (the same code path -DLOGP_NO_SIMD=ON compiles) has to
   // reproduce the SIMD run bit-for-bit — full result surface plus telemetry
-  // — for every pattern x topology x thread count. FatTree4(64, 2) is the
+  // — for every pattern x topology pair. FatTree4(64, 2) is the
   // load-bearing topology: its multi-channel links exercise the SIMD
   // first-minimum channel arbitration (and its equal-cycle tie-break).
   struct Case {
@@ -619,28 +583,23 @@ TEST(PacketSim, SimdOnOffByteIdenticalEverywhere) {
   cases[2] = {"fattree64t2", make_fat_tree4(64, 2)};
   for (const auto& c : cases) {
     for (const auto pat : kPatterns) {
-      const auto expected = reference_packet_sim(*c.topo, golden_config(pat));
-      for (const int threads : {1, 4}) {
-        SCOPED_TRACE(std::string(c.name) + "/" + traffic_pattern_name(pat) +
-                     " sim_threads=" + std::to_string(threads));
-        PacketSimConfig base = golden_config(pat);
-        base.sim_threads = threads;
-        PacketSimConfig cfg_on = base;
-        obs::NetTelemetry telem_on;
-        telem_on.sample_every = 500;
-        cfg_on.telemetry = &telem_on;
-        util::simd::set_force_scalar(false);
-        const auto on = run_packet_sim(*c.topo, cfg_on);
-        PacketSimConfig cfg_off = base;
-        obs::NetTelemetry telem_off;
-        telem_off.sample_every = 500;
-        cfg_off.telemetry = &telem_off;
-        util::simd::set_force_scalar(true);
-        const auto off = run_packet_sim(*c.topo, cfg_off);
-        util::simd::set_force_scalar(false);
-        expect_identical(on, telem_on, off, telem_off);
-        expect_same_result(expected, on);
-      }
+      SCOPED_TRACE(std::string(c.name) + "/" + traffic_pattern_name(pat));
+      const PacketSimConfig base = golden_config(pat);
+      PacketSimConfig cfg_on = base;
+      obs::NetTelemetry telem_on;
+      telem_on.sample_every = 500;
+      cfg_on.telemetry = &telem_on;
+      util::simd::set_force_scalar(false);
+      const auto on = run_packet_sim(*c.topo, cfg_on);
+      PacketSimConfig cfg_off = base;
+      obs::NetTelemetry telem_off;
+      telem_off.sample_every = 500;
+      cfg_off.telemetry = &telem_off;
+      util::simd::set_force_scalar(true);
+      const auto off = run_packet_sim(*c.topo, cfg_off);
+      util::simd::set_force_scalar(false);
+      expect_identical(on, telem_on, off, telem_off);
+      expect_same_result(reference_packet_sim(*c.topo, base), on);
     }
   }
 }
@@ -657,37 +616,33 @@ TEST(PacketSim, SimdOnOffByteIdenticalUnderActiveFaultPlan) {
   plan.retry_timeout = 64;
   plan.max_retries = 3;
   plan.link_faults.push_back({0, 64, 2000, 6000, 4});
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-    PacketSimConfig base = golden_config(TrafficPattern::kUniform);
-    base.sim_threads = threads;
-    base.faults = &plan;
-    PacketSimConfig cfg_on = base;
-    obs::NetTelemetry telem_on;
-    telem_on.sample_every = 500;
-    cfg_on.telemetry = &telem_on;
-    util::simd::set_force_scalar(false);
-    const auto on = run_packet_sim(*topo, cfg_on);
-    PacketSimConfig cfg_off = base;
-    obs::NetTelemetry telem_off;
-    telem_off.sample_every = 500;
-    cfg_off.telemetry = &telem_off;
-    util::simd::set_force_scalar(true);
-    const auto off = run_packet_sim(*topo, cfg_off);
-    util::simd::set_force_scalar(false);
-    EXPECT_GT(on.dropped + on.corrupted, 0);
-    expect_identical(on, telem_on, off, telem_off);
-  }
+  PacketSimConfig base = golden_config(TrafficPattern::kUniform);
+  base.faults = &plan;
+  PacketSimConfig cfg_on = base;
+  obs::NetTelemetry telem_on;
+  telem_on.sample_every = 500;
+  cfg_on.telemetry = &telem_on;
+  util::simd::set_force_scalar(false);
+  const auto on = run_packet_sim(*topo, cfg_on);
+  PacketSimConfig cfg_off = base;
+  obs::NetTelemetry telem_off;
+  telem_off.sample_every = 500;
+  cfg_off.telemetry = &telem_off;
+  util::simd::set_force_scalar(true);
+  const auto off = run_packet_sim(*topo, cfg_off);
+  util::simd::set_force_scalar(false);
+  EXPECT_GT(on.dropped + on.corrupted, 0);
+  expect_identical(on, telem_on, off, telem_off);
 }
 
 TEST(PacketSim, SimdOnOffByteIdenticalPerFaultType) {
   // The batch verdict kernel has one code path per misfortune family
   // (hashed drop, hashed corrupt, targeted first-attempt drop, dead link,
   // degraded link, injection jitter, retransmit pressure). Exercise each in
-  // isolation and pin SIMD-on/off x sim_threads byte-identity per family,
-  // with a counter proof that the family actually fired — a plan that
-  // never triggers would make the identity check vacuous. Every family is
-  // also diffed against the serial reference.
+  // isolation and pin SIMD-on/off byte-identity per family, with a
+  // counter proof that the family actually fired — a plan that never
+  // triggers would make the identity check vacuous. Every family is also
+  // diffed against the serial reference.
   const auto topo = make_fat_tree4(64, 2);
   struct Case {
     const char* name;
@@ -735,67 +690,35 @@ TEST(PacketSim, SimdOnOffByteIdenticalPerFaultType) {
     if (c.plan.retry_timeout == 0) c.plan.retry_timeout = 8 * lookahead(probe);
     if (c.plan.max_retries == 0) c.plan.max_retries = 3;
     probe.faults = &c.plan;
-    const auto expected = reference_packet_sim(*topo, probe);
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(c.name) +
-                   " sim_threads=" + std::to_string(threads));
-      PacketSimConfig base = golden_config(TrafficPattern::kUniform);
-      base.sim_threads = threads;
-      base.faults = &c.plan;
-      PacketSimConfig cfg_on = base;
-      obs::NetTelemetry telem_on;
-      telem_on.sample_every = 500;
-      cfg_on.telemetry = &telem_on;
-      util::simd::set_force_scalar(false);
-      const auto on = run_packet_sim(*topo, cfg_on);
-      PacketSimConfig cfg_off = base;
-      obs::NetTelemetry telem_off;
-      telem_off.sample_every = 500;
-      cfg_off.telemetry = &telem_off;
-      util::simd::set_force_scalar(true);
-      const auto off = run_packet_sim(*topo, cfg_off);
-      util::simd::set_force_scalar(false);
-      if (c.wants_dropped) {
-        EXPECT_GT(on.dropped, 0);
-      }
-      if (c.wants_corrupted) {
-        EXPECT_GT(on.corrupted, 0);
-      }
-      if (c.wants_retransmitted) {
-        EXPECT_GT(on.retransmitted, 0);
-      }
-      if (c.wants_perturbed) {
-        EXPECT_NE(on.latency.mean(), clean.latency.mean())
-            << "plan should perturb timing even without losses";
-      }
-      expect_identical(on, telem_on, off, telem_off);
-      expect_same_result(expected, on);
+    SCOPED_TRACE(c.name);
+    PacketSimConfig cfg_on = probe;
+    obs::NetTelemetry telem_on;
+    telem_on.sample_every = 500;
+    cfg_on.telemetry = &telem_on;
+    util::simd::set_force_scalar(false);
+    const auto on = run_packet_sim(*topo, cfg_on);
+    PacketSimConfig cfg_off = probe;
+    obs::NetTelemetry telem_off;
+    telem_off.sample_every = 500;
+    cfg_off.telemetry = &telem_off;
+    util::simd::set_force_scalar(true);
+    const auto off = run_packet_sim(*topo, cfg_off);
+    util::simd::set_force_scalar(false);
+    if (c.wants_dropped) {
+      EXPECT_GT(on.dropped, 0);
     }
-  }
-}
-
-TEST(PacketSim, ShardPartitionCoversEveryLinkExactlyOnce) {
-  for (const int shards : {1, 2, 3, 4, 8}) {
-    for (const std::size_t links : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{64}, std::size_t{257}}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " links=" + std::to_string(links));
-      const auto owner = assign_link_shards(links, shards);
-      ASSERT_EQ(owner.size(), links);  // every link appears exactly once
-      std::vector<std::size_t> per_shard(static_cast<std::size_t>(shards), 0);
-      for (const auto s : owner) {
-        ASSERT_GE(s, 0);
-        ASSERT_LT(s, shards);  // ...and is owned by a real shard
-        ++per_shard[static_cast<std::size_t>(s)];
-      }
-      // Round-robin balance: shard populations differ by at most one.
-      std::size_t lo = links, hi = 0;
-      for (const auto n : per_shard) {
-        lo = std::min(lo, n);
-        hi = std::max(hi, n);
-      }
-      EXPECT_LE(hi - lo, 1u);
+    if (c.wants_corrupted) {
+      EXPECT_GT(on.corrupted, 0);
     }
+    if (c.wants_retransmitted) {
+      EXPECT_GT(on.retransmitted, 0);
+    }
+    if (c.wants_perturbed) {
+      EXPECT_NE(on.latency.mean(), clean.latency.mean())
+          << "plan should perturb timing even without losses";
+    }
+    expect_identical(on, telem_on, off, telem_off);
+    expect_same_result(reference_packet_sim(*topo, probe), on);
   }
 }
 
@@ -803,11 +726,30 @@ TEST(PacketSim, LookaheadMatchesPerHopServiceTime) {
   PacketSimConfig cfg;
   cfg.hop_delay = 3;
   cfg.phits = 7;
-  // The engine's causality window: no event can influence another less than
+  // The engine's window width: no event can influence another less than
   // one full hop (routing + serialization) in the future.
   EXPECT_EQ(lookahead(cfg), 10);
   EXPECT_EQ(unloaded_packet_time(cfg, 1.0),
             static_cast<double>(lookahead(cfg)));
+}
+
+TEST(PacketSim, RejectsSimThreadsOtherThanOne) {
+  // The engine is single-threaded; a caller asking for intra-run threads
+  // (0 or more than 1) gets a message, not a silently serial run.
+  const auto topo = make_mesh2d(4, 4, true);
+  for (const int threads : {0, 4}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+    PacketSimConfig cfg = golden_config(TrafficPattern::kUniform);
+    cfg.sim_threads = threads;
+    try {
+      (void)run_packet_sim(*topo, cfg);
+      ADD_FAILURE() << "expected a check_error";
+    } catch (const util::check_error& e) {
+      EXPECT_NE(std::string(e.what()).find("single-threaded"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- Fault-aware rerouting (PacketSimConfig::reroute) --------------------
@@ -884,10 +826,11 @@ TEST(PacketSim, RerouteDetoursAroundKilledLinkAndHealsBack) {
   EXPECT_EQ(link_drops, r_on.dropped);
 }
 
-TEST(PacketSim, RerouteByteIdenticalAcrossThreadsAndSimd) {
+TEST(PacketSim, RerouteByteIdenticalWithSimdOnAndOff) {
   // The recovery figure's contract: a kill/heal run with rerouting engaged
   // is byte-identical — full result surface plus telemetry, including the
-  // reroute and dead-link series — at every sim_threads and SIMD setting.
+  // reroute and dead-link series — with SIMD on or off, and from run to
+  // run.
   const auto topo = make_hypercube(32);
   PacketSimConfig base;
   base.injection_rate = 0.02;
@@ -905,7 +848,6 @@ TEST(PacketSim, RerouteByteIdenticalAcrossThreadsAndSimd) {
   ref_telem.sample_every = 250;
   PacketSimConfig ref_cfg = base;
   ref_cfg.telemetry = &ref_telem;
-  ref_cfg.sim_threads = 1;
   const auto ref = run_packet_sim(*topo, ref_cfg);
   EXPECT_GT(ref.rerouted, 0);
   // The engine charges a reroute to a link only when a retry really
@@ -914,20 +856,16 @@ TEST(PacketSim, RerouteByteIdenticalAcrossThreadsAndSimd) {
   for (const auto& l : ref_telem.links) link_reroutes += l.reroutes;
   EXPECT_GT(link_reroutes, 0);
 
-  for (const int threads : {1, 4}) {
-    for (const bool scalar : {false, true}) {
-      SCOPED_TRACE("sim_threads=" + std::to_string(threads) +
-                   (scalar ? " scalar" : " simd"));
-      PacketSimConfig cfg = base;
-      obs::NetTelemetry telem;
-      telem.sample_every = 250;
-      cfg.telemetry = &telem;
-      cfg.sim_threads = threads;
-      util::simd::set_force_scalar(scalar);
-      const auto r = run_packet_sim(*topo, cfg);
-      util::simd::set_force_scalar(false);
-      expect_identical(ref, ref_telem, r, telem);
-    }
+  for (const bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar ? "scalar" : "simd");
+    PacketSimConfig cfg = base;
+    obs::NetTelemetry telem;
+    telem.sample_every = 250;
+    cfg.telemetry = &telem;
+    util::simd::set_force_scalar(scalar);
+    const auto r = run_packet_sim(*topo, cfg);
+    util::simd::set_force_scalar(false);
+    expect_identical(ref, ref_telem, r, telem);
   }
 }
 

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "exp/sweep.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace logp::exp {
 namespace {
@@ -201,31 +204,17 @@ TEST(Sweep, NestingPolicyDividesOuterBudget) {
   EXPECT_EQ(SweepRunner({3}).inner_threads(), 1);
 }
 
-TEST(Sweep, SimThreadsFromArgs) {
-  {
-    // Both flags in one argv: each parser consumes only its own.
-    const char* raw[] = {"prog", "--sim-threads", "4", "--threads", "2"};
-    char* argv[] = {const_cast<char*>(raw[0]), const_cast<char*>(raw[1]),
-                    const_cast<char*>(raw[2]), const_cast<char*>(raw[3]),
-                    const_cast<char*>(raw[4])};
-    int argc = 5;
-    EXPECT_EQ(sim_threads_from_args(argc, argv), 4);
-    EXPECT_EQ(argc, 3);
-    EXPECT_EQ(threads_from_args(argc, argv), 2);
-    EXPECT_EQ(argc, 1);
-  }
-  {
-    const char* raw[] = {"prog", "--sim-threads=8"};
-    char* argv[] = {const_cast<char*>(raw[0]), const_cast<char*>(raw[1])};
-    int argc = 2;
-    EXPECT_EQ(sim_threads_from_args(argc, argv), 8);
-    EXPECT_EQ(argc, 1);
-  }
-  {
-    const char* raw[] = {"prog"};
-    char* argv[] = {const_cast<char*>(raw[0])};
-    int argc = 1;
-    EXPECT_EQ(sim_threads_from_args(argc, argv, 3), 3);
+TEST(Sweep, JobsRunInTaskContextEvenInOneThreadSweep) {
+  // The inner_threads budget only narrows the sweep: a pool dispatch issued
+  // from inside a job always runs inline, because even the serial caller of
+  // a one-thread sweep counts as in-task.
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // int, not bool: vector<bool> packs bits, so parallel writes would race.
+    const std::vector<std::function<int()>> jobs(
+        3, [] { return util::ThreadPool::in_task() ? 1 : 0; });
+    for (const int in_task : SweepRunner({threads}).map(jobs))
+      EXPECT_EQ(in_task, 1);
   }
 }
 

@@ -22,18 +22,19 @@
 
 // Counting allocator guard: global operator new is replaced with a counting
 // shim so tests can assert that a scope performed zero heap allocations —
-// the "steady-state = zero allocations" invariant of DESIGN.md.
+// the "steady-state = zero allocations" invariant of DESIGN.md. Atomic
+// because the ThreadPool tests allocate (exception messages) on workers.
 namespace {
-std::size_t g_heap_allocs = 0;
+std::atomic<std::size_t> g_heap_allocs{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
-  ++g_heap_allocs;
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_heap_allocs;
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -48,8 +49,8 @@ namespace {
 /// Heap allocations performed since construction.
 class AllocationGuard {
  public:
-  AllocationGuard() : start_(g_heap_allocs) {}
-  std::size_t count() const { return g_heap_allocs - start_; }
+  AllocationGuard() : start_(g_heap_allocs.load()) {}
+  std::size_t count() const { return g_heap_allocs.load() - start_; }
 
  private:
   std::size_t start_;
@@ -356,8 +357,8 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPool, BackToBackDispatchesReuseResidentWorkers) {
-  // The windowed packet simulator issues thousands of small dispatches in a
-  // row; every one must complete fully before for_index returns.
+  // Workers sleep between dispatches; each of many small dispatches in a
+  // row must still wake them and complete fully before for_index returns.
   ThreadPool pool(2);
   std::atomic<long> sum{0};
   for (int round = 0; round < 500; ++round)

@@ -41,12 +41,11 @@ snapshots (baseline first) and exits nonzero when any benchmark regresses
 by more than --tolerance (default 3%, the bound in ISSUE/DESIGN):
 
     tools/bench_record.py --compare BASELINE.json CANDIDATE.json
-        [--tolerance 0.03] [--tolerances 'BM_PacketSimPar=-0.5,...']
+        [--tolerance 0.03] [--tolerances 'BM_PacketSim/200=0.25,...']
 
 --tolerances overrides the bound per benchmark (exact-name match). A
 negative value demands an IMPROVEMENT: -0.5 means the candidate must beat
-the baseline by at least 50% (the 1.5x gate CI applies to the parallel
-packet engine against its serial baseline).
+the baseline by at least 50%.
 
 Snapshots may also carry a "model_check" section (written by
 tools/mc_check --summary-json): per scenario/P, the explored interleaving
@@ -283,7 +282,7 @@ def main():
                              "mode (fraction, default 0.03)")
     parser.add_argument("--tolerances", default="",
                         help="per-benchmark overrides for --compare, e.g. "
-                             "'BM_PacketSimPar=-0.5,BM_PingPong/1000=0.05'; "
+                             "'BM_PacketSim/200=0.25,BM_PingPong/1000=0.05'; "
                              "negative values require that much improvement")
     args = parser.parse_args()
 
