@@ -2,37 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
+#include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace logp::exp {
-
-namespace {
-
-int consume_int_flag(int& argc, char** argv, const char* flag, int def) {
-  const std::size_t flag_len = std::strlen(flag);
-  int value = def;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, flag) == 0 && i + 1 < argc) {
-      value = std::atoi(argv[++i]);
-    } else if (std::strncmp(arg, flag, flag_len) == 0 &&
-               arg[flag_len] == '=') {
-      value = std::atoi(arg + flag_len + 1);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  return value;
-}
-
-}  // namespace
 
 SweepRunner::SweepRunner(SweepOptions opts)
     : threads_(opts.threads), inner_threads_(std::max(1, opts.inner_threads)) {
@@ -93,44 +69,28 @@ std::vector<ExperimentResult> SweepRunner::run(
 }
 
 int threads_from_args(int& argc, char** argv, int def) {
-  return consume_int_flag(argc, argv, "--threads", def);
+  const auto v = util::take_value_flag(argc, argv, "--threads",
+                                       [](const char* s) {
+                                         const auto n = util::parse_int(s);
+                                         return n.has_value() && *n >= 0;
+                                       });
+  return v ? *util::parse_int(v->c_str()) : def;
 }
 
 int int_from_args(int& argc, char** argv, const char* flag, int def) {
-  return consume_int_flag(argc, argv, flag, def);
+  const auto v = util::take_value_flag(argc, argv, flag, [](const char* s) {
+    return util::parse_int(s).has_value();
+  });
+  return v ? *util::parse_int(v->c_str()) : def;
 }
 
 std::string string_from_args(int& argc, char** argv, const char* flag,
                              const char* def) {
-  const std::size_t flag_len = std::strlen(flag);
-  std::string value = def;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, flag) == 0 && i + 1 < argc) {
-      value = argv[++i];
-    } else if (std::strncmp(arg, flag, flag_len) == 0 &&
-               arg[flag_len] == '=') {
-      value = arg + flag_len + 1;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  return value;
+  return util::take_value_flag(argc, argv, flag).value_or(def);
 }
 
 bool bool_from_args(int& argc, char** argv, const char* flag) {
-  bool present = false;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0)
-      present = true;
-    else
-      argv[out++] = argv[i];
-  }
-  argc = out;
-  return present;
+  return util::take_switch(argc, argv, flag);
 }
 
 int reject_unknown_flags(int argc, char** argv, const char* usage) {

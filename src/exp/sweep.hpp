@@ -121,13 +121,16 @@ class SweepRunner {
 /// Consumes a `--threads N` (or `--threads=N`) argument from argv, returning
 /// N, or `def` when the flag is absent. Figure binaries pass their argc/argv
 /// through so `fig3_broadcast --threads 8` works without further plumbing.
+/// N must be a non-negative base-10 int; any other value, or none, stays in
+/// argv for reject_unknown_flags.
 int threads_from_args(int& argc, char** argv, int def = 1);
 
-/// Consumes an arbitrary `--name N` / `--name=N` integer flag.
+/// Consumes an arbitrary `--name N` / `--name=N` integer flag. N must be a
+/// complete base-10 int (util::parse_int); otherwise it stays in argv.
 int int_from_args(int& argc, char** argv, const char* flag, int def = 0);
 
 /// Consumes `--name VALUE` / `--name=VALUE` like the int helpers above, but
-/// keeps the value verbatim (paths, labels).
+/// keeps the value verbatim (paths, labels). An empty VALUE stays in argv.
 std::string string_from_args(int& argc, char** argv, const char* flag,
                              const char* def = "");
 

@@ -75,7 +75,8 @@ struct ObsFlags {
 };
 
 /// Consumes the flags named in `honoured` (ObsFlagBits) from argv,
-/// threads_from_args-style. Obs flags outside `honoured` stay in argv for
+/// threads_from_args-style. Obs flags outside `honoured`, and value flags
+/// whose value is empty or missing (util::take_value_flag), stay in argv for
 /// exp::reject_unknown_flags.
 ObsFlags obs_from_args(int& argc, char** argv, unsigned honoured);
 

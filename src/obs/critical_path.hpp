@@ -35,8 +35,7 @@
 // retransmit timeouts) become node "anchors": a recorded lower bound that
 // keeps the unit-scale recomputation exact and is attributed to its own
 // bucket. Capture hooks live in sim/machine.cpp next to the trace::Recorder
-// taps, null-checked when no recorder is attached and compiled out entirely
-// under -DLOGP_OBS=OFF, like the LOGP_OBS_* macros.
+// taps, null-checked when no recorder is attached.
 #pragma once
 
 #include <array>

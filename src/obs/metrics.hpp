@@ -9,14 +9,9 @@
 // Sharing one registry between concurrently running experiments is a bug,
 // exactly like sharing one Machine.
 //
-// Two off-switches, same philosophy as trace::Recorder::enabled():
-//  * runtime — instrumented code holds a nullable pointer and updates
-//    through LOGP_OBS_COUNT / LOGP_OBS_GAUGE_MAX / LOGP_OBS_OBSERVE, which
-//    are a single predictable branch when no registry is attached;
-//  * compile time — configuring with -DLOGP_OBS=OFF defines
-//    LOGP_OBS_DISABLED and the macros expand to nothing, so an obs-free
-//    build carries zero instrumentation (kObsCompiledIn lets tests and
-//    callers check which world they are in).
+// Off-switch, same philosophy as trace::Recorder::enabled(): instrumented
+// code holds nullable metric pointers and updates through them behind a
+// null check, a single predictable branch when no registry is attached.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +23,6 @@
 #include "util/stats.hpp"
 
 namespace logp::obs {
-
-#ifdef LOGP_OBS_DISABLED
-inline constexpr bool kObsCompiledIn = false;
-#else
-inline constexpr bool kObsCompiledIn = true;
-#endif
 
 /// Monotonic event count. Plain increments: one owner, no atomics.
 class Counter {
@@ -135,39 +124,3 @@ class MetricsRegistry {
 };
 
 }  // namespace logp::obs
-
-// Hot-path instrumentation macros. `ptr` is a metric pointer that may be
-// null (no registry attached); with LOGP_OBS=OFF the whole statement
-// disappears. Arguments are not evaluated when disabled — keep them free of
-// side effects.
-#ifdef LOGP_OBS_DISABLED
-#define LOGP_OBS_COUNT(ptr, delta) \
-  do {                             \
-  } while (0)
-#define LOGP_OBS_GAUGE_MAX(ptr, v) \
-  do {                             \
-  } while (0)
-#define LOGP_OBS_GAUGE_SET(ptr, v) \
-  do {                             \
-  } while (0)
-#define LOGP_OBS_OBSERVE(ptr, x) \
-  do {                           \
-  } while (0)
-#else
-#define LOGP_OBS_COUNT(ptr, delta)    \
-  do {                                \
-    if (ptr) (ptr)->add(delta);       \
-  } while (0)
-#define LOGP_OBS_GAUGE_MAX(ptr, v)    \
-  do {                                \
-    if (ptr) (ptr)->observe_max(v);   \
-  } while (0)
-#define LOGP_OBS_GAUGE_SET(ptr, v)    \
-  do {                                \
-    if (ptr) (ptr)->set(v);           \
-  } while (0)
-#define LOGP_OBS_OBSERVE(ptr, x)      \
-  do {                                \
-    if (ptr) (ptr)->observe(x);       \
-  } while (0)
-#endif

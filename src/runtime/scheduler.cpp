@@ -10,14 +10,12 @@ namespace logp::runtime {
 Scheduler::Scheduler(sim::MachineConfig cfg)
     : machine_(std::move(cfg), *this),
       pstates_(static_cast<std::size_t>(machine_.params().P)) {
-#ifndef LOGP_OBS_DISABLED
   if (obs::MetricsRegistry* reg = machine_.config().metrics) {
     obs_.tasks_spawned = reg->counter("rt.tasks.spawned");
     obs_.handlers_invoked = reg->counter("rt.handlers.invoked");
     obs_.mailbox_depth = reg->gauge("rt.mailbox.depth");
     obs_.recv_waiters_depth = reg->gauge("rt.recv_waiters.depth");
   }
-#endif
 }
 
 Scheduler::~Scheduler() = default;
@@ -63,7 +61,7 @@ Cycles Scheduler::run() {
 
 void Scheduler::spawn_on(ProcId p, Task t) {
   LOGP_CHECK(t.valid());
-  LOGP_OBS_COUNT(obs_.tasks_spawned, 1);
+  if (obs_.tasks_spawned != nullptr) obs_.tasks_spawned->add(1);
   auto& ps = pstates_[static_cast<std::size_t>(p)];
   ps.ready.push_back(t.handle());
   ps.toplevel.push_back(std::move(t));
@@ -110,8 +108,9 @@ void Scheduler::add_recv_waiter(ProcId p, std::int32_t tag, ProcId src,
                                 std::coroutine_handle<> h, Message* slot) {
   auto& ps = pstates_[static_cast<std::size_t>(p)];
   ps.recv_waiters.push_back(RecvWaiter{tag, src, h, slot});
-  LOGP_OBS_GAUGE_SET(obs_.recv_waiters_depth,
-                     static_cast<std::int64_t>(ps.recv_waiters.size()));
+  if (obs_.recv_waiters_depth != nullptr)
+    obs_.recv_waiters_depth->set(
+        static_cast<std::int64_t>(ps.recv_waiters.size()));
   // The processor may have been left idle with arrivals pending (e.g. it
   // was mid-resume when they landed); make sure acceptance restarts.
   pump(p);
@@ -123,8 +122,9 @@ void Scheduler::add_timed_recv_waiter(ProcId p, std::int32_t tag, ProcId src,
   auto& ps = pstates_[static_cast<std::size_t>(p)];
   const std::uint64_t id = next_waiter_id_++;
   ps.recv_waiters.push_back(RecvWaiter{tag, src, h, &out->msg, out, id});
-  LOGP_OBS_GAUGE_SET(obs_.recv_waiters_depth,
-                     static_cast<std::int64_t>(ps.recv_waiters.size()));
+  if (obs_.recv_waiters_depth != nullptr)
+    obs_.recv_waiters_depth->set(
+        static_cast<std::int64_t>(ps.recv_waiters.size()));
   // The deadline timer resolves the waiter with ok == false. A message
   // arriving first removes the waiter; the timer then finds no matching id
   // and does nothing (the machine has no timer cancellation — the guard is
@@ -173,7 +173,7 @@ void Scheduler::deliver(ProcId p, const Message& m) {
   bool handled = false;
   for (auto& [tag, fn] : handlers_) {
     if (tag == m.tag) {
-      LOGP_OBS_COUNT(obs_.handlers_invoked, 1);
+      if (obs_.handlers_invoked != nullptr) obs_.handlers_invoked->add(1);
       fn(Ctx(this, p), m);
       handled = true;
       break;
@@ -193,8 +193,8 @@ void Scheduler::deliver(ProcId p, const Message& m) {
     }
     if (!matched) {
       ps.mailbox.push_back(m);
-      LOGP_OBS_GAUGE_SET(obs_.mailbox_depth,
-                         static_cast<std::int64_t>(ps.mailbox.size()));
+      if (obs_.mailbox_depth != nullptr)
+        obs_.mailbox_depth->set(static_cast<std::int64_t>(ps.mailbox.size()));
     }
   }
   pump(p);

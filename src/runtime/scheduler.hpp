@@ -204,8 +204,8 @@ class Scheduler final : public sim::Host {
   }
 
   /// rt.* metrics, resolved from the machine config's registry at
-  /// construction; all null when no registry is attached (or obs is
-  /// compiled out), so updates are one predicted branch.
+  /// construction; all null when no registry is attached, so updates are
+  /// one predicted branch.
   struct Instruments {
     obs::Counter* tasks_spawned = nullptr;
     obs::Counter* handlers_invoked = nullptr;

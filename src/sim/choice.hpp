@@ -34,8 +34,7 @@ enum class ChoiceKind : std::uint8_t { kAcceptOrder, kDrop, kLatency };
 /// deliveries; kDrop: 1 if that alternative drops; kLatency: the candidate
 /// latency). Alternative 0 is always the engine's default, so an oracle
 /// that returns 0 everywhere reproduces the oracle-free run exactly (pinned
-/// by tests/test_mc.cpp). Hook sites compile out under -DLOGP_MC=OFF; with
-/// the hooks compiled in, a null oracle costs one predicted branch per
+/// by tests/test_mc.cpp). A null oracle costs one predicted branch per
 /// site.
 class ChoiceOracle {
  public:

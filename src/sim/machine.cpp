@@ -7,23 +7,8 @@
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
-// Critical-path capture hook: forwards to the attached recorder, one
-// predicted branch when none is attached, nothing at all under
-// -DLOGP_OBS=OFF (mirroring the LOGP_OBS_* metric macros).
-#ifndef LOGP_OBS_DISABLED
-#define LOGP_CP(expr)                                  \
-  do {                                                 \
-    if (cfg_.critpath != nullptr) cfg_.critpath->expr; \
-  } while (0)
-#else
-#define LOGP_CP(expr) \
-  do {                \
-  } while (0)
-#endif
-
 namespace logp::sim {
 
-#ifndef LOGP_MC_DISABLED
 namespace {
 
 /// Content hash of a message for the kAcceptOrder choice labels: two
@@ -47,7 +32,6 @@ std::uint64_t arrival_label(const Message& m) {
 }
 
 }  // namespace
-#endif
 
 Machine::Machine(MachineConfig config, Host& host)
     : cfg_(std::move(config)),
@@ -60,7 +44,6 @@ Machine::Machine(MachineConfig config, Host& host)
   LOGP_CHECK(cfg_.compute_jitter >= 0.0 && cfg_.compute_jitter < 1.0);
   procs_.resize(static_cast<std::size_t>(cfg_.params.P));
   events_.reserve(64 + 4 * static_cast<std::size_t>(cfg_.params.P));
-#ifndef LOGP_OBS_DISABLED
   if (cfg_.metrics != nullptr) {
     // Resolve once; the hot paths then update through nullable pointers.
     // Stall segments rarely exceed a few L, so [0, 4096) x 64 bins keeps
@@ -71,8 +54,7 @@ Machine::Machine(MachineConfig config, Host& host)
     obs_.stall_cycles =
         cfg_.metrics->histogram("sim.stall.segment_cycles", 0.0, 4096.0, 64);
   }
-#endif
-  LOGP_CP(begin_run(cfg_.params.P));
+  if (cfg_.critpath != nullptr) cfg_.critpath->begin_run(cfg_.params.P);
   for (ProcId p = 0; p < cfg_.params.P; ++p)
     push_event(0, EvKind::kStartup, p, 0);
 }
@@ -93,7 +75,7 @@ Cycles Machine::run() {
       LOGP_CHECK_MSG(false, "event budget exceeded — runaway program?");
     dispatch(ev);
   }
-  LOGP_CP(on_finish(now_));
+  if (cfg_.critpath != nullptr) cfg_.critpath->on_finish(now_);
   flush_metrics();
   return now_;
 }
@@ -101,7 +83,6 @@ Cycles Machine::run() {
 /// Cold: totals the per-event loop already tracks are published once, after
 /// the event queue drains, so attaching a registry adds nothing per event.
 void Machine::flush_metrics() {
-#ifndef LOGP_OBS_DISABLED
   if (cfg_.metrics == nullptr) return;
   cfg_.metrics->gauge("sim.events")
       ->set(static_cast<std::int64_t>(events_processed_));
@@ -119,7 +100,6 @@ void Machine::flush_metrics() {
   // keep their exact historical shape.
   if (cfg_.faults != nullptr)
     cfg_.metrics->gauge("sim.msgs.dropped")->set(msgs_dropped_);
-#endif
 }
 
 Cycles Machine::sample_latency() {
@@ -143,7 +123,8 @@ void Machine::start_compute(ProcId p, Cycles dur) {
   proc.state = CpuState::kCompute;
   proc.stats.compute += dur;
   recorder_.record(p, now_, now_ + dur, trace::Activity::kCompute);
-  LOGP_CP(on_compute(p, now_ + dur, dur));
+  if (cfg_.critpath != nullptr)
+    cfg_.critpath->on_compute(p, now_ + dur, dur);
   push_event(now_ + dur, EvKind::kComputeDone, p, 0);
 }
 
@@ -206,7 +187,9 @@ void Machine::engage_send(ProcId p, Cycles t) {
   proc.stats.send_overhead += cfg_.params.o;
   recorder_.record(p, t, t + cfg_.params.o, trace::Activity::kSendOverhead,
                    msgs_[proc.current_msg].dst);
-  LOGP_CP(on_send_engage(p, t, cfg_.params.o, proc.send_port_free - t));
+  if (cfg_.critpath != nullptr)
+    cfg_.critpath->on_send_engage(p, t, cfg_.params.o,
+                                  proc.send_port_free - t);
   push_event(t + cfg_.params.o, EvKind::kSendOverheadDone, p, 0);
 }
 
@@ -216,7 +199,7 @@ void Machine::try_inject(ProcId p, Cycles t) {
   auto& dst = procs_[static_cast<std::size_t>(m.dst)];
   const int cap = static_cast<int>(cfg_.params.capacity());
   if (proc.out_inflight >= cap || dst.in_inflight >= cap) {
-    LOGP_OBS_COUNT(obs_.stalls_entered, 1);
+    if (obs_.stalls_entered != nullptr) obs_.stalls_entered->add(1);
     proc.state = CpuState::kSendStalled;
     proc.pending_injection = true;
     proc.stall_begin = t;
@@ -229,7 +212,6 @@ void Machine::try_inject(ProcId p, Cycles t) {
 
 void Machine::maybe_accept_while_stalled(ProcId p) {
   auto& proc = procs_[static_cast<std::size_t>(p)];
-  if (!cfg_.drain_while_stalled) return;
   if (proc.state != CpuState::kSendStalled || proc.arrivals.empty()) return;
   // Close the current stall segment; the processor spends its wait servicing
   // an arrival, then retries the injection (see kAcceptDone).
@@ -237,10 +219,10 @@ void Machine::maybe_accept_while_stalled(ProcId p) {
     proc.stats.stall += now_ - proc.stall_begin;
     recorder_.record(p, proc.stall_begin, now_, trace::Activity::kStall,
                      msgs_[proc.current_msg].dst);
-    LOGP_OBS_OBSERVE(obs_.stall_cycles,
-                     static_cast<double>(now_ - proc.stall_begin));
+    if (obs_.stall_cycles != nullptr)
+      obs_.stall_cycles->observe(static_cast<double>(now_ - proc.stall_begin));
   }
-  LOGP_OBS_COUNT(obs_.drained_accepts, 1);
+  if (obs_.drained_accepts != nullptr) obs_.drained_accepts->add(1);
   proc.op_requested = now_;
   if (now_ < proc.recv_port_free) {
     proc.state = CpuState::kAcceptGapWait;
@@ -266,7 +248,7 @@ void Machine::try_retry_injection(ProcId p) {
 
 void Machine::inject(ProcId p, Cycles t) {
   auto& proc = procs_[static_cast<std::size_t>(p)];
-  [[maybe_unused]] const bool was_stalled = proc.pending_injection;
+  const bool was_stalled = proc.pending_injection;
   proc.pending_injection = false;
   const std::uint32_t idx = proc.current_msg;
   const Message& m = msgs_[idx];
@@ -294,7 +276,6 @@ void Machine::inject(ProcId p, Cycles t) {
       doomed = true;  // a dead destination is a fact, never a choice
     } else {
       doomed = cfg_.faults->message_dropped(msg_id);
-#ifndef LOGP_MC_DISABLED
       if (cfg_.oracle != nullptr && cfg_.faults->message_droppable()) {
         // Fault-verdict interception: the plan's hash verdict becomes
         // alternative 0 and its negation alternative 1, labelled by whether
@@ -304,10 +285,8 @@ void Machine::inject(ProcId p, Cycles t) {
         LOGP_CHECK(k == 0 || k == 1);
         if (k == 1) doomed = !doomed;
       }
-#endif
     }
   }
-#ifndef LOGP_MC_DISABLED
   if (cfg_.oracle != nullptr && cfg_.latency_min >= 0 &&
       cfg_.latency_min < cfg_.params.L) {
     // The model only bounds latency by L; with a configured range the
@@ -329,9 +308,9 @@ void Machine::inject(ProcId p, Cycles t) {
       latency = static_cast<Cycles>(cand[k]);
     }
   }
-#endif
   const Cycles arrive = t + stream + latency;
-  LOGP_CP(on_inject(p, idx, t, was_stalled, stream, latency));
+  if (cfg_.critpath != nullptr)
+    cfg_.critpath->on_inject(p, idx, t, was_stalled, stream, latency);
   push_event(arrive, doomed ? EvKind::kDropArrive : EvKind::kDeliver, m.dst,
              idx);
   proc.state = CpuState::kIdle;
@@ -373,14 +352,14 @@ void Machine::accept_begin(ProcId p, Cycles t) {
   proc.stats.recv_overhead += cfg_.params.o;
   recorder_.record(p, t, t + cfg_.params.o, trace::Activity::kRecvOverhead,
                    m.src);
-  LOGP_CP(on_accept(p, idx, t, cfg_.params.o, cfg_.params.g));
+  if (cfg_.critpath != nullptr)
+    cfg_.critpath->on_accept(p, idx, t, cfg_.params.o, cfg_.params.g);
   push_event(t + cfg_.params.o, EvKind::kAcceptDone, p, idx);
   wake_blocked_senders();
 }
 
 std::uint32_t Machine::take_arrival(ProcId p) {
   auto& proc = procs_[static_cast<std::size_t>(p)];
-#ifndef LOGP_MC_DISABLED
   const std::size_t n = proc.arrivals.size();
   if (cfg_.oracle != nullptr && n > 1) {
     // Which pending arrival the processor engages with is a genuine
@@ -400,7 +379,6 @@ std::uint32_t Machine::take_arrival(ProcId p) {
     proc.arrivals.pop_front();
     return idx;
   }
-#endif
   const std::uint32_t idx = proc.arrivals.front();
   proc.arrivals.pop_front();
   return idx;
@@ -425,8 +403,9 @@ void Machine::wake_blocked_senders() {
       proc.stats.stall += stalled;
       recorder_.record(p, proc.stall_begin, now_, trace::Activity::kStall,
                        dst_id);
-      LOGP_OBS_COUNT(obs_.stall_wakeups, 1);
-      LOGP_OBS_OBSERVE(obs_.stall_cycles, static_cast<double>(stalled));
+      if (obs_.stall_wakeups != nullptr) obs_.stall_wakeups->add(1);
+      if (obs_.stall_cycles != nullptr)
+        obs_.stall_cycles->observe(static_cast<double>(stalled));
       inject(p, now_);
     } else {
       blocked_senders_.push_back(p);
@@ -502,7 +481,7 @@ void Machine::dispatch(const Event& ev) {
       LOGP_CHECK(procs_[static_cast<std::size_t>(m.src)].out_inflight >= 0);
       LOGP_CHECK(proc.in_inflight >= 0);
       ++msgs_dropped_;
-      LOGP_CP(on_drop(ev.payload));
+      if (cfg_.critpath != nullptr) cfg_.critpath->on_drop(ev.payload);
       msgs_.release(ev.payload);
       wake_blocked_senders();
       break;

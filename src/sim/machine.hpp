@@ -15,6 +15,11 @@
 //    injection until the destination processor *begins* receiving it, so a
 //    processor that floods a busy receiver is throttled — the behaviour the
 //    capacity constraint exists to discourage.
+//  * A processor stalled on network capacity services its own arrivals
+//    (paying the usual receive overhead) and then retries the injection.
+//    This mirrors Active Message layers, which poll the receive queue while
+//    waiting to inject, and is what makes flood patterns (e.g. the naive
+//    all-to-all schedule) livelock-free.
 //
 // The machine is policy-free: a Host (normally runtime::Scheduler) decides
 // what each processor does whenever its CPU is free. All Host callbacks are
@@ -93,28 +98,21 @@ struct MachineConfig {
   /// "cache effects, network collisions" drift of paper Section 4.1.4.
   double compute_jitter = 0.0;
   bool record_trace = false;
-  /// A processor stalled on network capacity services its own arrivals
-  /// (paying the usual receive overhead) and then retries the injection.
-  /// This mirrors Active Message layers, which poll the receive queue while
-  /// waiting to inject, and is what makes flood patterns (e.g. the naive
-  /// all-to-all schedule) livelock-free. Disable to study pure stalling.
-  bool drain_while_stalled = true;
   /// Safety valve: run() throws if more events than this are processed.
   std::uint64_t max_events = std::uint64_t(1) << 62;
   /// Optional metrics sink (see obs/metrics.hpp). The machine registers
   /// sim.* counters/gauges/histograms at construction and updates them as it
   /// runs; null (the default) costs one predicted branch on the few paths
-  /// instrumented, and -DLOGP_OBS=OFF compiles even that out. The registry
-  /// must outlive the machine and must not be shared with a machine running
-  /// on another thread (one registry per experiment, like the RNG).
+  /// instrumented. The registry must outlive the machine and must not be
+  /// shared with a machine running on another thread (one registry per
+  /// experiment, like the RNG).
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional critical-path DAG recorder (see obs/critical_path.hpp): when
   /// attached, the machine records one node per operation milestone so the
   /// finish time can be decomposed along its binding chain and re-costed
   /// under perturbed (L, o, g). Same rules as `metrics`: one recorder per
   /// machine run, must outlive the machine, never shared across threads;
-  /// null costs one predicted branch per hook and -DLOGP_OBS=OFF compiles
-  /// the hooks out entirely.
+  /// null costs one predicted branch per hook.
   obs::CritPathRecorder* critpath = nullptr;
   /// Optional deterministic fault plan (see fault/fault.hpp). The machine
   /// honors msg_drop_rate and proc_faults: a doomed message pays its full
@@ -126,9 +124,9 @@ struct MachineConfig {
   /// injection. The plan must outlive the machine.
   const fault::FaultPlan* faults = nullptr;
   /// Optional model-checker branch oracle (see ChoiceOracle above and
-  /// src/mc). Null keeps every decision on its default; the -DLOGP_MC=OFF
-  /// build compiles the consultation sites out entirely. The oracle must
-  /// outlive the machine.
+  /// src/mc). Null keeps every decision on its default at the cost of one
+  /// predicted branch per consultation site. The oracle must outlive the
+  /// machine.
   ChoiceOracle* oracle = nullptr;
 };
 
@@ -263,9 +261,9 @@ class Machine {
     ProcStats stats;
   };
 
-  /// Resolved metric pointers (all null when cfg_.metrics is null or obs is
-  /// compiled out). Stall-related updates sit on contention paths only; the
-  /// per-event loop is untouched — totals are flushed once at end of run().
+  /// Resolved metric pointers (all null when cfg_.metrics is null).
+  /// Stall-related updates sit on contention paths only; the per-event loop
+  /// is untouched — totals are flushed once at end of run().
   struct Instruments {
     obs::Counter* stalls_entered = nullptr;
     obs::Counter* stall_wakeups = nullptr;

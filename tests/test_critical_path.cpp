@@ -154,7 +154,6 @@ void expect_path_sums_to_finish(const exp::ExperimentSpec& spec) {
 }
 
 TEST(CriticalPath, BroadcastPathSumsToFinish) {
-  if (!obs::kObsCompiledIn) GTEST_SKIP() << "built with -DLOGP_OBS=OFF";
   expect_path_sums_to_finish(broadcast_spec(kFig3, kFig3));
   // The worked example's finish is pinned by the paper (t = 24).
   obs::CritPathRecorder rec;
@@ -162,7 +161,6 @@ TEST(CriticalPath, BroadcastPathSumsToFinish) {
 }
 
 TEST(CriticalPath, SaturatedFloodPathSumsToFinish) {
-  if (!obs::kObsCompiledIn) GTEST_SKIP() << "built with -DLOGP_OBS=OFF";
   expect_path_sums_to_finish(flood_spec(kFloodParams));
 }
 
@@ -178,7 +176,6 @@ TEST(CriticalPath, DetachedRunRecordsNothing) {
 // ---- artifact determinism ------------------------------------------------
 
 TEST(CriticalPath, ArtifactByteIdenticalAcrossSweepThreads) {
-  if (!obs::kObsCompiledIn) GTEST_SKIP() << "built with -DLOGP_OBS=OFF";
   std::vector<exp::ExperimentSpec> specs;
   for (int i = 0; i < 6; ++i) {
     specs.push_back(i % 2 ? flood_spec(kFloodParams)
@@ -199,7 +196,6 @@ TEST(CriticalPath, ArtifactByteIdenticalAcrossSweepThreads) {
 }
 
 TEST(CriticalPath, CsvSchemaMatchesTraceSummary) {
-  if (!obs::kObsCompiledIn) GTEST_SKIP() << "built with -DLOGP_OBS=OFF";
   obs::CritPathRecorder rec;
   run_with_recorder(broadcast_spec(kFig3, kFig3), &rec);
   const std::string csv = obs::critpath_csv(obs::analyze_critical_path(rec));
@@ -214,7 +210,6 @@ TEST(CriticalPath, CsvSchemaMatchesTraceSummary) {
 // ---- what-if vs re-simulation --------------------------------------------
 
 TEST(WhatIf, IdentityRecostReproducesFinishExactly) {
-  if (!obs::kObsCompiledIn) GTEST_SKIP() << "built with -DLOGP_OBS=OFF";
   for (const auto& spec :
        {broadcast_spec(kFig3, kFig3), flood_spec(kFloodParams)}) {
     obs::CritPathRecorder rec;
@@ -225,7 +220,6 @@ TEST(WhatIf, IdentityRecostReproducesFinishExactly) {
 }
 
 TEST(WhatIf, UniformScalingMatchesResimulation) {
-  if (!obs::kObsCompiledIn) GTEST_SKIP() << "built with -DLOGP_OBS=OFF";
   for (const double f : {2.0, 3.0}) {
     const obs::WhatIfSpec spec{f, f, f, f};
     ASSERT_TRUE(spec.is_uniform());
@@ -240,7 +234,6 @@ TEST(WhatIf, UniformScalingMatchesResimulation) {
 }
 
 TEST(WhatIf, HalvedOverheadMatchesResimulation) {
-  if (!obs::kObsCompiledIn) GTEST_SKIP() << "built with -DLOGP_OBS=OFF";
   // The acceptance case: fig3's broadcast under o = 0.5x. The re-simulation
   // keeps the tree computed from the ORIGINAL parameters (same schedule,
   // cheaper overheads) and runs the machine with o halved.
@@ -320,8 +313,6 @@ TEST(CriticalPath, DetachedRecorderAddsNoAllocations) {
   const std::int64_t off1 = allocs_for_run(spec, nullptr);
   const std::int64_t off2 = allocs_for_run(spec, nullptr);
   EXPECT_EQ(off1, off2);
-
-  if (!obs::kObsCompiledIn) return;  // hooks compiled out entirely: done
 
   // A cold recorder allocates (arena chunks, per-proc state)...
   obs::CritPathRecorder rec;

@@ -5,8 +5,7 @@
 //  * Zero perturbation: a RecordingOracle with an empty prefix reproduces
 //    the oracle-free run byte-for-byte (deliveries, protocol stats, finish
 //    time, profiler buckets, Chrome trace JSON). Alternative 0 at every
-//    choice point IS the machine default — the property that makes the
-//    compiled-out (-DLOGP_MC=OFF) build behaviourally identical and every
+//    choice point IS the machine default — the property that makes every
 //    counterexample a faithful simulation.
 //  * Replay determinism: any interleaving the explorer visits, re-run from
 //    its choice string, is byte-identical — a counterexample is a one-line

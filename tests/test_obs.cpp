@@ -156,7 +156,6 @@ TEST(Profiler, SaturatedFloodAccountsEveryCycle) {
 }
 
 TEST(Profiler, MachineMetricsSeeTheFlood) {
-  if (!obs::kObsCompiledIn) GTEST_SKIP() << "built with -DLOGP_OBS=OFF";
   auto spec = flood_spec(/*record_trace=*/false);
   obs::MetricsRegistry reg;
   spec.config.metrics = &reg;
@@ -395,6 +394,24 @@ TEST(ObsCli, ConsumesOnlyHonouredFlags) {
   EXPECT_EQ(exp::reject_unknown_flags(argc, argv.data(),
                                       "[--profile] [--trace-json FILE]"),
             2);
+  // An honoured value flag with an empty or missing value is not consumed
+  // either: `--trace-json=` must not silently write nothing.
+  for (const std::vector<std::string>& bad :
+       std::vector<std::vector<std::string>>{{"--trace-json="},
+                                             {"--trace-json", ""},
+                                             {"--metrics-csv="},
+                                             {"--whatif="}}) {
+    SCOPED_TRACE(::testing::PrintToString(bad));
+    std::vector<std::string> all = {"prog"};
+    all.insert(all.end(), bad.begin(), bad.end());
+    std::vector<char*> av;
+    for (std::string& a : all) av.push_back(a.data());
+    int ac = static_cast<int>(av.size());
+    const obs::ObsFlags none =
+        obs::obs_from_args(ac, av.data(), obs::kMachineFlags);
+    EXPECT_FALSE(none.any());
+    EXPECT_EQ(std::vector<std::string>(av.begin() + 1, av.begin() + ac), bad);
+  }
 }
 
 TEST(ObsCli, FlagSetsCoverTheirEmitters) {

@@ -155,13 +155,12 @@ TEST(Machine, ReceptionsPacedByGap) {
 
 TEST(Machine, CapacityStallsFloodingSender) {
   // L=4, g=4 -> capacity 1. A sender that never lets the receiver drain
-  // (receiver never accepts) stalls forever; with drain disabled and the
-  // receiver busy-computing the run still terminates (events exhausted)
-  // leaving the sender stalled mid-operation.
+  // (receiver never accepts) stalls forever. The stalled sender has no
+  // arrivals of its own to service, and the receiver is busy computing, so
+  // the run still terminates (events exhausted) leaving the sender stalled
+  // mid-operation.
   ScriptHost host;
-  MachineConfig c = cfg({4, 1, 4, 2});
-  c.drain_while_stalled = false;
-  Machine m(c, host);
+  Machine m(cfg({4, 1, 4, 2}), host);
   int sends_completed = 0;
   host.startup = [&](ProcId p) {
     if (p == 0) {
@@ -213,8 +212,8 @@ TEST(Machine, GapPacedStreamNeverStalls) {
 }
 
 TEST(Machine, StalledSenderDrainsOwnArrivals) {
-  // Two processors flood each other with capacity 1: with
-  // drain_while_stalled (default) both make progress and finish.
+  // Two processors flood each other with capacity 1: because a stalled
+  // sender services its own arrivals, both make progress and finish.
   ScriptHost host;
   Machine m(cfg({4, 1, 4, 2}), host);
   int sent[2] = {0, 0};

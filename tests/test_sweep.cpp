@@ -148,6 +148,19 @@ TEST(Sweep, MapPreservesOrder) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i * i);
 }
 
+/// Runs `scan` over argv = {"prog", args...} and returns what it left after
+/// argv[0].
+template <typename Scan>
+std::vector<std::string> left_after(std::vector<std::string> args,
+                                    Scan scan) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  int argc = static_cast<int>(argv.size());
+  scan(argc, argv.data());
+  return {argv.begin() + 1, argv.begin() + argc};
+}
+
 TEST(Sweep, ThreadsFromArgs) {
   {
     const char* raw[] = {"prog", "--threads", "8", "--other"};
@@ -170,6 +183,24 @@ TEST(Sweep, ThreadsFromArgs) {
     char* argv[] = {const_cast<char*>(raw[0])};
     int argc = 1;
     EXPECT_EQ(threads_from_args(argc, argv, 5), 5);
+  }
+  // A value that is empty, not a complete base-10 int, or negative is not
+  // consumed: argv stays whole, so reject_unknown_flags exits 2 with usage
+  // instead of the run falling back to a default.
+  for (const std::vector<std::string>& bad :
+       std::vector<std::vector<std::string>>{{"--threads", "abc"},
+                                             {"--threads", "4x"},
+                                             {"--threads", "-3"},
+                                             {"--threads", ""},
+                                             {"--threads="},
+                                             {"--threads=abc"},
+                                             {"--threads", "99999999999"}}) {
+    SCOPED_TRACE(::testing::PrintToString(bad));
+    EXPECT_EQ(left_after(bad,
+                         [](int& argc, char** argv) {
+                           EXPECT_EQ(threads_from_args(argc, argv, 5), 5);
+                         }),
+              bad);
   }
 }
 
@@ -254,6 +285,37 @@ TEST(Sweep, IntStringBoolFromArgs) {
   // Defaults when the flag is absent.
   EXPECT_EQ(int_from_args(argc, argv, "--missing", 9), 9);
   EXPECT_EQ(string_from_args(argc, argv, "--missing", "d"), "d");
+  // Negative ints are ints (mc_check's --shard -1).
+  EXPECT_TRUE(left_after({"--shard", "-1"}, [](int& c, char** v) {
+                EXPECT_EQ(int_from_args(c, v, "--shard", 0), -1);
+              }).empty());
+  // A malformed int and an empty string are left in argv whole.
+  for (const std::vector<std::string>& bad :
+       std::vector<std::vector<std::string>>{{"--crash-after", "x"},
+                                             {"--crash-after", "1.5"},
+                                             {"--crash-after", ""},
+                                             {"--crash-after="},
+                                             {"--crash-after=7 "}}) {
+    SCOPED_TRACE(::testing::PrintToString(bad));
+    EXPECT_EQ(left_after(bad,
+                         [](int& c, char** v) {
+                           EXPECT_EQ(int_from_args(c, v, "--crash-after", 9),
+                                     9);
+                         }),
+              bad);
+  }
+  for (const std::vector<std::string>& bad :
+       std::vector<std::vector<std::string>>{{"--checkpoint-dir="},
+                                             {"--checkpoint-dir", ""}}) {
+    SCOPED_TRACE(::testing::PrintToString(bad));
+    EXPECT_EQ(left_after(bad,
+                         [](int& c, char** v) {
+                           EXPECT_EQ(string_from_args(c, v, "--checkpoint-dir",
+                                                      "d"),
+                                     "d");
+                         }),
+              bad);
+  }
 }
 
 TEST(Sweep, RejectUnknownFlagsExitsWithUsage) {

@@ -97,7 +97,6 @@ def collect_environment(binary, context):
         "CMAKE_BUILD_TYPE:STRING": "build_type",
         "CMAKE_CXX_FLAGS:STRING": "cxx_flags",
         "LOGP_SANITIZE:STRING": "sanitize",
-        "LOGP_OBS:BOOL": "obs",
     }
     for parent in pathlib.Path(binary).resolve().parents:
         cache = parent / "CMakeCache.txt"
