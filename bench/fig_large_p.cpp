@@ -1,5 +1,5 @@
 // Production-scale packet-level scenarios: the Section 5.3 methodology
-// pushed to P = 4096..65536 endpoints, the regime the SIMD-batched window
+// pushed to P = 4096..65536 endpoints, the regime the windowed batch
 // engine exists for.
 //
 // Three scenario families, each on a direct (torus) and an indirect
@@ -174,11 +174,8 @@ int main(int argc, char** argv) {
   for (const auto* t :
        {grid[0].topo.get(), grid[1].topo.get()})
     std::cout << "  " << t->name() << ": " << t->diameter_hops() << '\n';
-  // Kept verbatim so this stdout stays byte-identical to earlier builds,
-  // although no bench accepts --sim-threads any more.
-  std::cout << "\nEvery row above is byte-identical at any --threads /\n"
-               "--sim-threads value, and with SIMD kernels on or off —\n"
-               "the canonical (time, injection-id) order pins the\n"
+  std::cout << "\nEvery row above is byte-identical at any --threads\n"
+               "value — the canonical (time, injection-id) order pins the\n"
                "trajectory; batching only changes wall-clock time.\n";
 
   if (obs_flags.any()) {

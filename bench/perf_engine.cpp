@@ -124,7 +124,8 @@ BENCHMARK(BM_PacketSim)->Arg(200)->Arg(500);
 /// This is the per-cell workload of bench/fig_fault_degradation scaled up
 /// one topology size; Arg is injection rate x 1e4. The ratio
 /// BM_PacketSim : BM_PacketSimFaulted is the price of fault handling
-/// itself — the batch verdict pipeline exists to keep it near 1.
+/// itself: the per-event verdict hashes, the link-degrade memo and the
+/// retransmit traffic.
 void BM_PacketSimFaulted(benchmark::State& state) {
   const auto topo = net::make_mesh2d(16, 16, true);
   net::PacketSimConfig cfg;
@@ -150,8 +151,8 @@ BENCHMARK(BM_PacketSimFaulted)->Arg(500)->Arg(600);
 
 /// Production-scale grid: 64x64 torus (4096 endpoints, 16384 links) under
 /// uniform traffic in the stable regime. Pins the windowed engine's
-/// throughput where the per-window batches are wide enough for the SIMD
-/// classification and arbitration kernels to matter.
+/// throughput where the per-window batches are wide, so the window sort
+/// and the per-link chains dominate.
 void BM_PacketSimLargeP(benchmark::State& state) {
   const auto topo = net::make_mesh2d(64, 64, true);
   net::PacketSimConfig cfg;

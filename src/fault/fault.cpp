@@ -1,10 +1,8 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.hpp"
-#include "util/simd.hpp"
 
 namespace logp::fault {
 
@@ -146,66 +144,6 @@ Cycles FaultPlan::proc_recovers_at(ProcId p, Cycles t) const {
         t < pf.recover_at && (best < 0 || pf.recover_at < best))
       best = pf.recover_at;
   return best;
-}
-
-std::uint64_t unit_threshold(double rate) {
-  if (rate <= 0.0) return 0;
-  // rate * 2^53 is a pure exponent shift (exact for every double in (0, 1]),
-  // so T = ceil(rate * 2^53) makes (h >> 11) < T equivalent to the double
-  // compare to_unit(h) < rate: both sides of the original compare are
-  // exactly representable, and an integer x is < a real R iff x < ceil(R)
-  // (with x < R = ceil(R) when R is already integral). Pinned exhaustively
-  // against the double form in tests/test_fault.cpp.
-  return static_cast<std::uint64_t>(std::ceil(rate * 0x1.0p53));
-}
-
-void FaultPlan::verdict_mask(const std::uint64_t* delivery_words,
-                             const std::uint32_t* inj,
-                             const std::uint16_t* attempt, std::size_t n,
-                             VerdictScratch& scratch,
-                             std::uint64_t* mask_words) const {
-  // Fixed-size staging tile rather than whole-batch arrays: a 256-event
-  // tile keeps the four staging streams (salt/a/b/hash, 8 KiB total)
-  // L1-resident regardless of batch size, and the scratch vectors never
-  // regrow after the first window.
-  constexpr std::size_t kTile = 256;
-  scratch.salt.resize(kTile);
-  scratch.a.resize(kTile);
-  scratch.b.resize(kTile);
-  scratch.hash.resize(kTile);
-  const std::uint64_t drop_t = unit_threshold(drop_rate);
-  const std::uint64_t corrupt_t = unit_threshold(corrupt_rate);
-  const std::size_t nwords = (n + 63) / 64;
-  for (std::size_t w = 0; w < nwords; ++w) mask_words[w] = 0;
-  for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
-    const std::size_t tn = std::min(kTile, n - t0);
-    for (std::size_t i = 0; i < tn; ++i) {
-      const std::size_t g = t0 + i;
-      const bool del = (delivery_words[g >> 6] >> (g & 63)) & 1;
-      scratch.salt[i] = del ? kCorruptSalt : kDropSalt;
-      scratch.a[i] = inj[g];
-      scratch.b[i] = attempt[g];
-    }
-    util::simd::decide_hash_u64(seed, scratch.salt.data(), scratch.a.data(),
-                                scratch.b.data(), tn, scratch.hash.data());
-    for (std::size_t i = 0; i < tn; ++i) {
-      const std::size_t g = t0 + i;
-      const bool del = (delivery_words[g >> 6] >> (g & 63)) & 1;
-      if ((scratch.hash[i] >> 11) < (del ? corrupt_t : drop_t))
-        mask_words[g >> 6] |= std::uint64_t{1} << (g & 63);
-    }
-  }
-  // Targeted first-attempt drops override the rate verdict for link events,
-  // exactly as drop_attempt()'s short-circuit does.
-  if (!drop_packets.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool del = (delivery_words[i >> 6] >> (i & 63)) & 1;
-      if (del || attempt[i] != 0) continue;
-      if (std::find(drop_packets.begin(), drop_packets.end(),
-                    static_cast<std::int64_t>(inj[i])) != drop_packets.end())
-        mask_words[i >> 6] |= std::uint64_t{1} << (i & 63);
-    }
-  }
 }
 
 }  // namespace logp::fault

@@ -7,18 +7,17 @@
 // decided — a packet's injection id and attempt number, a message's
 // injection sequence number, a link's endpoints. No RNG stream is consumed
 // and no wall-clock or scheduling order is observed, so a decision can be
-// evaluated anywhere, in any order — in a vectorized batch or one event at
-// a time — and every evaluation agrees. That is the property that keeps
-// faulted runs byte-identical with SIMD on or off and against the serial
+// evaluated anywhere, in any order, and every evaluation agrees. That is
+// the property that keeps faulted runs byte-identical to the serial
 // reference simulator (see DESIGN.md "Fault model").
 //
 // Faults are keyed on injection id rather than processing order because the
-// windowed packet engine classifies a window's events in batches, not one
-// by one. The injection id is the packet's index in the (born, src)-sorted
-// injection array, a total order every engine shares by construction.
+// windowed packet engine processes a window's events grouped by link, not
+// in global event order. The injection id is the packet's index in the
+// (born, src)-sorted injection array, a total order every engine shares by
+// construction.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -29,7 +28,7 @@ namespace logp::fault {
 /// A directed link (u -> v) that misbehaves during [from, to).
 /// degrade == 0 kills the link: packets attempting the traversal are
 /// dropped (and retried, if the plan retransmits). degrade > 1 multiplies
-/// the link's service time — a slow link never violates the parallel
+/// the link's service time — a slow link never violates the packet
 /// engine's lookahead, because service only grows.
 struct LinkFault {
   int u = 0;
@@ -119,40 +118,6 @@ struct FaultPlan {
   /// Earliest recover_at > t among p's fault intervals covering t, or -1
   /// when p is healthy at t or failed forever (the revival-task query).
   Cycles proc_recovers_at(ProcId p, Cycles t) const;
-
-  // ---- batch verdicts (the packet engine's vectorized fault kernel) ----
-  //
-  // Every per-attempt verdict above is a pure SplitMix64 hash compared
-  // against a rate, so a whole sorted window of events can be decided in
-  // one vectorized pass (util::simd::decide_hash_u64) instead of one
-  // cross-TU call per event. verdict_mask() is specified to be bit-exact
-  // with the scalar predicates: corrupt_attempt() for delivery events,
-  // drop_attempt() — including the targeted drop_packets overlay — for
-  // link-traversal events. The caller keeps the drop-hop refinement
-  // (drop_hop() == current hop) because it needs the route table.
-
-  /// Reusable staging arrays for verdict_mask, owned by the caller so the
-  /// steady state allocates nothing.
-  struct VerdictScratch {
-    std::vector<std::uint64_t> salt, a, b, hash;
-  };
-
-  /// For each of n events, sets bit i of mask_words (bit i%64 of word i/64)
-  /// iff the plan's verdict for event i is "misfortune": events whose bit
-  /// is set in delivery_words test corrupt_rate under the corrupt salt, all
-  /// others test drop_rate under the drop salt. inj/attempt are parallel
-  /// arrays of event identities. Words at and beyond n keep their
-  /// rate-irrelevant hash bits zeroed.
-  void verdict_mask(const std::uint64_t* delivery_words,
-                    const std::uint32_t* inj, const std::uint16_t* attempt,
-                    std::size_t n, VerdictScratch& scratch,
-                    std::uint64_t* mask_words) const;
 };
-
-/// Integer threshold T with (h >> 11) < T  <=>  to_unit(h) < rate, for every
-/// hash h — the exact integer form of the fault layer's double compare
-/// (to_unit maps the top 53 bits onto [0, 1); scaling rate by 2^53 is a pure
-/// exponent shift, so ceil() loses nothing). Exposed for tests.
-std::uint64_t unit_threshold(double rate);
 
 }  // namespace logp::fault

@@ -11,7 +11,6 @@
 #include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/event_heap.hpp"
-#include "util/simd.hpp"
 
 namespace logp::net {
 
@@ -19,15 +18,13 @@ namespace {
 
 // The engine below is a windowed batch design on the caller's thread: time
 // advances in aligned windows of width `service` (= lookahead), every
-// pending event of a window is gathered into
-// one dense buffer, sorted once by a packed (time, injection-id) key, and
-// processed in batch — same-link events are grouped so channel arbitration
-// amortizes its min-scan (SIMD first-minimum over the channel span), and
-// delivery classification runs over 64-event blocks via a SIMD sign-mask of
-// the link column. Nothing is heap-allocated per packet: windows live in a
-// 64-slot time wheel of reusable vectors (far-future events overflow into a
-// small spill heap), routes are arena-backed link-id spans shared by every
-// packet on a (src, dst) pair, and links live in an open-addressing table.
+// pending event of a window is gathered into one dense buffer, sorted once
+// by a packed (time, injection-id) key, and processed in batch — same-link
+// events are chained so each link's channel span is scanned while it is
+// hot. Nothing is heap-allocated per packet: windows live in a 64-slot time
+// wheel of reusable vectors (far-future events overflow into a small spill
+// heap), routes are arena-backed link-id spans shared by every packet on a
+// (src, dst) pair, and links live in an open-addressing table.
 //
 // Event order is canonical: every event is keyed (time, injection id),
 // where the injection id is the packet's index in the (born, src)-sorted
@@ -36,7 +33,7 @@ namespace {
 // depend on how a window's events are batched. The per-window sort realizes
 // exactly this order, so per-link event subsequences (the only place state
 // is shared) match a one-event-at-a-time simulator's, which is what keeps
-// SIMD-on and SIMD-off runs byte-identical to the serial reference in
+// every run byte-identical to the serial reference in
 // tests/test_packet_sim.cpp.
 
 constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
@@ -56,7 +53,7 @@ struct Injection {
 /// sorting a window's buffer by this one u64 IS the canonical (t, inj)
 /// order (a packet has at most one pending event, so keys are unique).
 /// `link` is the pre-resolved next link id, or -1 when the packet is at its
-/// destination — the SIMD classification pass reads only this sign bit.
+/// destination.
 struct WEvent {
   std::uint64_t key;
   std::int32_t link;
@@ -260,8 +257,8 @@ struct RouteRef {
 ///
 /// Consecutive epochs with identical link sequences share one span, so
 /// "the route changed" is a pointer comparison — the test both the engine's
-/// retry recommit and the canonical replay make, which keeps the reroute
-/// count byte-identical with SIMD on or off. Everything is resolved before
+/// retry recommit and the canonical replay make, which keeps the engine's
+/// and the replay's reroute counts equal. Everything is resolved before
 /// the engine starts; detour links enter the link table in a deterministic
 /// first-touch order.
 class EpochRouter {
@@ -524,8 +521,7 @@ constexpr int kWheel = 1 << kWheelBits;  ///< 64 windows resident at once
 ///  * Canonical order. Each window buffer is sorted into (t, inj) order
 ///    before processing, so each link's channel state sees exactly the
 ///    canonical event subsequence for that link — the contention, start
-///    times and successor times of a one-event-at-a-time simulator, with or
-///    without SIMD.
+///    times and successor times of a one-event-at-a-time simulator.
 ///
 /// Statistics are NOT accumulated during window execution: the in-flight
 /// walk and the sampled telemetry series interleave injections and outcomes
@@ -573,17 +569,8 @@ class Engine {
     spill_.reserve(reserve);
     chain_next_.reserve(2 * reserve);
     touched_.reserve(64);
-    mask_words_.reserve(reserve / 32 + 2);
-    if (fp_ != nullptr) {
-      verdict_words_.reserve(reserve / 32 + 2);
-      stage_inj_.reserve(per_bucket);
-      stage_att_.reserve(per_bucket);
-      if (!fp_->link_faults.empty()) stage_deg_.reserve(per_bucket);
-      vscratch_.salt.reserve(per_bucket);
-      vscratch_.a.reserve(per_bucket);
-      vscratch_.b.reserve(per_bucket);
-      vscratch_.hash.reserve(per_bucket);
-    }
+    if (fp_ != nullptr && !fp_->link_faults.empty())
+      stage_deg_.reserve(per_bucket);
     if (csort_) {
       sorted_.reserve(per_bucket);
       dt_pos_.assign(static_cast<std::size_t>(service_) + 1, 0);
@@ -629,8 +616,10 @@ class Engine {
     m->gauge("net.wheel.peak_bucket")->set(wheel_peak_);
     m->counter("net.wheel.l2_pushes")->add(l2_pushes_);
     m->counter("net.heap.spills")->add(heap_spills_);
-    m->counter("net.kernel.simd_windows")->add(simd_windows_);
-    m->counter("net.kernel.faulted_simd_windows")->add(faulted_simd_windows_);
+    // The kernel counters keep their historical names: benchmark tooling
+    // and CI read them.
+    m->counter("net.kernel.simd_windows")->add(clean_windows_);
+    m->counter("net.kernel.faulted_simd_windows")->add(faulted_windows_);
     m->counter("net.sort.counting_windows")->add(csort_windows_);
     m->counter("net.sort.radix_windows")->add(radix_windows_);
     m->counter("net.sort.fallbacks")->add(sort_fallbacks_);
@@ -886,22 +875,17 @@ class Engine {
 
   /// The window kernel. Two passes over the sorted buffer:
   ///
-  ///  1. Classification and verdicts. A SIMD sign-mask of the link column
-  ///     splits each 64-event block into deliveries and link traversals.
-  ///     With a fault plan, one vectorized SplitMix64 batch
-  ///     (FaultPlan::verdict_mask) decides corrupt for deliveries and
-  ///     rate-drop for traversals; the drop-hop refinement then touches
-  ///     only hash-flagged events, and the dead/degraded-link memo only
-  ///     runs when the plan has link faults at all. Without a plan every
-  ///     verdict word is zero. The result per block is a terminal mask:
-  ///     events that end in an outcome record this window.
-  ///  2. Records and chains. Outcome records (clean deliveries, corrupted
-  ///     or dropped attempts) are emitted walking the delivery|terminal
-  ///     mask in buffer (= canonical) order, while surviving traversals
-  ///     chain per link. Each touched link then arbitrates its chain with
-  ///     the channel span hot in registers/L1 — the SIMD first-minimum scan
-  ///     amortizes over every event on that link in the window — with the
-  ///     service span scaled by the link's degrade factor.
+  ///  1. Verdicts, records and chains, one event at a time in buffer
+  ///     (= canonical) order. A delivery (link < 0) takes the plan's
+  ///     corrupt verdict; a link traversal takes the dead/degraded-link
+  ///     memo (only when the plan has link faults at all), then the drop
+  ///     verdict and, for a flagged attempt, the drop-hop refinement.
+  ///     Clean deliveries and lost attempts emit their outcome records
+  ///     here; surviving traversals chain per link. Without a plan every
+  ///     verdict is "healthy".
+  ///  2. Arbitration. Each touched link walks its chain with the channel
+  ///     span hot in L1, putting each event on the earliest-free channel
+  ///     with the service span scaled by the link's degrade factor.
   ///
   /// Reordering across links is invisible: links are independent resources,
   /// verdicts are pure hashes, record order and per-link event subsequences
@@ -910,106 +894,70 @@ class Engine {
   /// tests/test_packet_sim.cpp pins every result field against a serial
   /// reference simulator (a plain (t, inj) priority queue).
   void window_kernel(Cycles wbase, const WEvent* ev, std::size_t n) {
-    const std::size_t nwords = (n + 63) / 64;
-    mask_words_.resize(nwords);
-    util::simd::negative_mask_i32_stride(&ev[0].link, n,
-                                         sizeof(WEvent) / sizeof(std::int32_t),
-                                         mask_words_.data());
-    if (fp_ != nullptr) {
-      ++faulted_simd_windows_;
-      stage_inj_.resize(n);
-      stage_att_.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        stage_inj_[i] = static_cast<std::uint32_t>(ev[i].key);
-        stage_att_[i] = ev[i].attempt;
-      }
-      verdict_words_.resize(nwords);
-      fp_->verdict_mask(mask_words_.data(), stage_inj_.data(),
-                        stage_att_.data(), n, vscratch_,
-                        verdict_words_.data());
-    } else {
-      ++simd_windows_;
-    }
+    if (fp_ != nullptr)
+      ++faulted_windows_;
+    else
+      ++clean_windows_;
     const bool lf = fp_ != nullptr && !fp_->link_faults.empty();
     if (lf) stage_deg_.resize(n);
     chain_next_.resize(n);
     touched_.clear();
     const std::uint64_t emark = static_cast<std::uint64_t>(++epoch_) << 32;
-    for (std::size_t base = 0; base < n; base += 64) {
-      const std::size_t cnt = std::min<std::size_t>(64, n - base);
-      const std::uint64_t valid =
-          cnt == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << cnt) - 1;
-      const std::uint64_t del = mask_words_[base / 64];
-      const std::uint64_t ver = fp_ != nullptr ? verdict_words_[base / 64] : 0;
-      // Terminal = corrupted deliveries, dead-link traversals, and
-      // rate-flagged traversals whose hash drop-hop is this hop. A dead
-      // link needs no drop hash, but the hash is pure — computing it for
-      // everyone changes no verdict.
-      std::uint64_t term = del & ver;
-      if (lf) {
-        for (std::uint64_t m = ~del & valid; m != 0; m &= m - 1) {
-          const std::size_t i =
-              base + static_cast<std::size_t>(__builtin_ctzll(m));
-          const auto [lu, lv] = sc_.links.endpoints(ev[i].link);
-          const int deg = fp_->link_degrade(
-              lu, lv, wbase + static_cast<Cycles>(ev[i].key >> 32));
-          stage_deg_[i] = deg;
-          if (deg == 0) term |= std::uint64_t{1} << (i - base);
-        }
-      }
-      for (std::uint64_t m = ~del & ver & valid & ~term; m != 0;
-           m &= m - 1) {
-        const std::size_t i =
-            base + static_cast<std::size_t>(__builtin_ctzll(m));
-        const auto inj =
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(ev[i].key));
-        const RouteRef& rr = sc_.refs[static_cast<std::size_t>(inj)];
-        if (static_cast<int>(ev[i].hop) ==
-            fp_->drop_hop(inj, ev[i].attempt, rr.hops))
-          term |= std::uint64_t{1} << (i - base);
-      }
-      // Outcome records in buffer (= canonical) order.
-      for (std::uint64_t m = (del | term) & valid; m != 0; m &= m - 1) {
-        const std::size_t i =
-            base + static_cast<std::size_t>(__builtin_ctzll(m));
-        const Cycles t = wbase + static_cast<Cycles>(ev[i].key >> 32);
-        const auto inj =
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(ev[i].key));
-        if (((term >> (i - base)) & 1) == 0) {
-          deliveries_.push_back({t, inj, DKind::kDelivered});
-        } else if ((del >> (i - base)) & 1) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const WEvent& e = ev[i];
+      const Cycles t = wbase + static_cast<Cycles>(e.key >> 32);
+      const auto inj =
+          static_cast<std::int32_t>(static_cast<std::uint32_t>(e.key));
+      const std::int32_t l = e.link;
+      if (l < 0) {
+        if (fp_ != nullptr && fp_->corrupt_attempt(inj, e.attempt)) {
           ++corrupted_;
-          retry_or_lose(t, inj, ev[i].attempt, -1);
+          retry_or_lose(t, inj, e.attempt, -1);
         } else {
+          deliveries_.push_back({t, inj, DKind::kDelivered});
+        }
+        continue;
+      }
+      if (fp_ != nullptr) {
+        // A dead link needs no drop hash; the memo is read again for the
+        // service span in pass 2, so link_degrade runs once per event.
+        bool drop = false;
+        if (lf) {
+          const auto [lu, lv] = sc_.links.endpoints(l);
+          stage_deg_[i] = fp_->link_degrade(lu, lv, t);
+          drop = stage_deg_[i] == 0;
+        }
+        if (!drop && fp_->drop_attempt(inj, e.attempt))
+          drop = static_cast<int>(e.hop) ==
+                 fp_->drop_hop(inj, e.attempt,
+                               sc_.refs[static_cast<std::size_t>(inj)].hops);
+        if (drop) {
           ++dropped_;
-          if (telem_) ++link_acc_[static_cast<std::size_t>(ev[i].link)].drops;
-          retry_or_lose(t, inj, ev[i].attempt, ev[i].link);
+          if (telem_) ++link_acc_[static_cast<std::size_t>(l)].drops;
+          retry_or_lose(t, inj, e.attempt, l);
+          continue;
         }
       }
-      // Surviving link traversals chain per link in buffer order.
-      for (std::uint64_t m = ~(del | term) & valid; m != 0; m &= m - 1) {
-        const auto i = static_cast<std::int32_t>(
-            base + static_cast<std::size_t>(__builtin_ctzll(m)));
-        const std::int32_t l = ev[i].link;
-        chain_next_[static_cast<std::size_t>(i)] = -1;
-        std::uint64_t& mark = link_mark_[static_cast<std::size_t>(l)];
-        if ((mark & ~std::uint64_t{0xffffffff}) != emark) {
-          mark = emark | static_cast<std::uint32_t>(i);
-          touched_.push_back(l);
-        } else {
-          chain_next_[static_cast<std::size_t>(
-              link_tail_[static_cast<std::size_t>(l)])] = i;
-        }
-        link_tail_[static_cast<std::size_t>(l)] = i;
+      const auto idx = static_cast<std::int32_t>(i);
+      chain_next_[i] = -1;
+      std::uint64_t& mark = link_mark_[static_cast<std::size_t>(l)];
+      if ((mark & ~std::uint64_t{0xffffffff}) != emark) {
+        mark = emark | static_cast<std::uint32_t>(idx);
+        touched_.push_back(l);
+      } else {
+        chain_next_[static_cast<std::size_t>(
+            link_tail_[static_cast<std::size_t>(l)])] = idx;
       }
+      link_tail_[static_cast<std::size_t>(l)] = idx;
     }
-    // Arbitration. The first-minimum tie-break (equal-cycle channels resolve
-    // to the lowest index) is part of the pinned trajectory; the SIMD
-    // horizontal-min reproduces it exactly (tests/test_simd.cpp).
+    // Arbitration. Which of several equal-cycle channels takes the event
+    // is unobservable: they are interchangeable, so any minimum leaves the
+    // same multiset of free-at cycles and the same start time, and nothing
+    // reads per-channel state.
     Cycles* const chans = sc_.links.channel_data();
     for (const std::int32_t l : touched_) {
       Cycles* const span = chans + sc_.links.channel_offset(l);
-      const auto ccnt = static_cast<std::size_t>(sc_.links.channels(l));
+      Cycles* const span_end = span + sc_.links.channels(l);
       for (std::int32_t i = static_cast<std::int32_t>(
                static_cast<std::uint32_t>(
                    link_mark_[static_cast<std::size_t>(l)]));
@@ -1018,10 +966,9 @@ class Engine {
         const Cycles t = wbase + static_cast<Cycles>(e.key >> 32);
         const Cycles svc =
             lf ? service_ * stage_deg_[static_cast<std::size_t>(i)] : service_;
-        const std::size_t c =
-            ccnt == 1 ? 0 : util::simd::first_min_index_i64(span, ccnt);
-        const Cycles start = t > span[c] ? t : span[c];
-        span[c] = start + svc;
+        Cycles& chan = *std::min_element(span, span_end);
+        const Cycles start = t > chan ? t : chan;
+        chan = start + svc;
         if (telem_)
           accumulate_link(link_acc_[static_cast<std::size_t>(l)], svc,
                           start - t);
@@ -1254,16 +1201,9 @@ class Engine {
   // chain reset is one epoch bump instead of an O(links) clear.
   std::vector<std::int32_t> chain_next_;
   std::vector<std::int32_t> touched_;
-  std::vector<std::uint64_t> mask_words_;
-  // Fault-plan scratch of the window kernel: staged event identities, the
-  // vectorized fault-verdict bitmask, and the per-event link-degrade memo
-  // (written in pass 1, read again for the service span in pass 2 so
-  // link_degrade runs exactly once per event).
-  std::vector<std::uint64_t> verdict_words_;
-  std::vector<std::uint32_t> stage_inj_;
-  std::vector<std::uint16_t> stage_att_;
+  /// Per-event link-degrade memo of the window kernel (written in pass 1,
+  /// read again for the service span in pass 2).
   std::vector<std::int32_t> stage_deg_;
-  fault::FaultPlan::VerdictScratch vscratch_;
   std::vector<WEvent> sorted_;          ///< counting-sort output buffer
   std::vector<WEvent> sorted2_;         ///< radix-sort ping-pong buffer
   std::vector<std::uint32_t> dt_pos_;   ///< counting-sort group cursors
@@ -1282,8 +1222,8 @@ class Engine {
   std::int64_t wheel_peak_ = 0;     ///< max single-bucket occupancy seen
   std::int64_t l2_pushes_ = 0;      ///< events staged through the frame wheel
   std::int64_t heap_spills_ = 0;    ///< events past both wheel horizons
-  std::int64_t simd_windows_ = 0;   ///< kernel dispatches without a plan
-  std::int64_t faulted_simd_windows_ = 0;  ///< kernel dispatches with a plan
+  std::int64_t clean_windows_ = 0;  ///< kernel dispatches without a plan
+  std::int64_t faulted_windows_ = 0;  ///< kernel dispatches with a plan
   std::int64_t csort_windows_ = 0;  ///< counting-sorted window buffers
   std::int64_t radix_windows_ = 0;  ///< of those, LSD-radix-sorted (large n)
   std::int64_t sort_fallbacks_ = 0; ///< std::sort fallback window buffers
@@ -1310,6 +1250,14 @@ PacketSimResult run_packet_sim(const Topology& topo,
                         "accepts only 1; run independent simulations in "
                         "parallel with exp::SweepRunner instead");
   LOGP_CHECK(cfg.injection_rate > 0.0 && cfg.injection_rate <= 1.0);
+  LOGP_CHECK_MSG(cfg.warmup >= 0,
+                 "PacketSimConfig::warmup must be >= 0, got " << cfg.warmup);
+  LOGP_CHECK_MSG(cfg.duration >= 1,
+                 "PacketSimConfig::duration must be >= 1, got "
+                     << cfg.duration);
+  LOGP_CHECK_MSG(cfg.hotspot_fraction >= 0.0 && cfg.hotspot_fraction <= 1.0,
+                 "PacketSimConfig::hotspot_fraction must be in [0, 1], got "
+                     << cfg.hotspot_fraction);
   const int P = topo.num_endpoints();
   LOGP_CHECK(P >= 2);
   const Cycles service = lookahead(cfg);

@@ -90,7 +90,7 @@ struct PacketSimConfig {
   /// whose re-dispatch lands in a different epoch recommits, so traffic
   /// detours around an outage and returns to the base route after the heal.
   /// All variants are resolved in the pre-pass, before the engine starts,
-  /// so results stay byte-identical with SIMD on or off (pinned by
+  /// so results are byte-identical from run to run (pinned by
   /// tests/test_packet_sim.cpp). Default off: historical kill-fault
   /// behavior — drop-and-retry on the dead route — is byte-identical to
   /// before the flag existed.

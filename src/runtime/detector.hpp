@@ -25,8 +25,8 @@
 //
 // Everything here is a deterministic function of simulated time: send
 // instants and check instants are fixed cycles, the reliable layer is
-// deterministic, so every run — at any --threads or SIMD setting —
-// produces the same verdict sequence.
+// deterministic, so every run — at any --threads setting — produces the
+// same verdict sequence.
 //
 // Known limitation, by design: a processor listed in the fault plan's
 // proc_faults is excluded from ever *issuing* verdicts, even before its

@@ -26,7 +26,6 @@
 #include "net/topology.hpp"
 #include "obs/net_telemetry.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace logp {
 namespace {
@@ -322,74 +321,6 @@ TEST(FaultPlan, PoolInvariantHoldsUnderFaults) {
   cfg.faults = &fp;
   const auto r = net::run_packet_sim(*topo, cfg);
   EXPECT_EQ(r.pool_slots, r.peak_in_flight);
-}
-
-TEST(FaultPlan, UnitThresholdMatchesDoubleCompare) {
-  // The integer threshold is the load-bearing trick of the batch verdict
-  // kernel: (h >> 11) < unit_threshold(rate) must agree with the double
-  // compare to_unit(h) < rate for EVERY hash — equality at the boundary is
-  // exactly where a naive rounding would silently reclassify one packet and
-  // break byte-identity with the scalar kernel.
-  util::Xoshiro256StarStar rng(0x7157);
-  const double rates[] = {0.0,   1.0,    0.5,   0.05,  0.02,  0.005,
-                          1e-12, 0.9999, 0.375, 1e-300, 0x1.0p-53};
-  for (const double rate : rates) {
-    const std::uint64_t t = fault::unit_threshold(rate);
-    // Boundary hashes around the threshold, plus a random sweep.
-    std::vector<std::uint64_t> top53;
-    if (t > 0) top53.insert(top53.end(), {t - 1, t});
-    top53.insert(top53.end(), {0, 1, (std::uint64_t{1} << 53) - 1});
-    for (int i = 0; i < 2000; ++i) top53.push_back(rng() >> 11);
-    for (const std::uint64_t x : top53) {
-      const bool integer_form = x < t;
-      const bool double_form = static_cast<double>(x) * 0x1.0p-53 < rate;
-      EXPECT_EQ(integer_form, double_form)
-          << "rate=" << rate << " top53=" << x;
-    }
-  }
-}
-
-TEST(FaultPlan, VerdictMaskMatchesScalarPredicatesPerEvent) {
-  // verdict_mask is specified bit-exact with the scalar predicates: a set
-  // bit iff corrupt_attempt() for delivery events, drop_attempt() --
-  // including the targeted first-attempt drop_packets overlay -- for link
-  // traversals. Random event identities across several tiles (n > 256)
-  // exercise the tile loop seams and both salts in one batch.
-  fault::FaultPlan plan;
-  plan.seed = 0xfeedbeef;
-  plan.drop_rate = 0.3;
-  plan.corrupt_rate = 0.2;
-  plan.drop_packets = {3, 17, 900};
-  util::Xoshiro256StarStar rng(0x9a5);
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{63}, std::size_t{70}, std::size_t{256},
-        std::size_t{700}}) {
-    std::vector<std::uint32_t> inj(n);
-    std::vector<std::uint16_t> attempt(n);
-    std::vector<std::uint64_t> delivery((n + 63) / 64, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      inj[i] = static_cast<std::uint32_t>(rng.uniform(1000));
-      attempt[i] = static_cast<std::uint16_t>(rng.uniform(4));
-      if (rng.bernoulli(0.4))
-        delivery[i / 64] |= std::uint64_t{1} << (i % 64);
-    }
-    fault::FaultPlan::VerdictScratch scratch;
-    std::vector<std::uint64_t> mask(delivery.size(), ~std::uint64_t{0});
-    plan.verdict_mask(delivery.data(), inj.data(), attempt.data(), n,
-                      scratch, mask.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool del = (delivery[i / 64] >> (i % 64)) & 1;
-      const bool want =
-          del ? plan.corrupt_attempt(inj[i], attempt[i])
-              : plan.drop_attempt(inj[i], attempt[i]);
-      EXPECT_EQ(((mask[i / 64] >> (i % 64)) & 1) != 0, want)
-          << "n=" << n << " i=" << i << " del=" << del;
-    }
-    // Bits at and past n are cleared, not leftover garbage.
-    if (n % 64 != 0) {
-      EXPECT_EQ(mask.back() >> (n % 64), 0u) << "n=" << n;
-    }
-  }
 }
 
 // ---- checkpoint store ----------------------------------------------------

@@ -9,9 +9,7 @@
 //  * Reference identity: the golden, pattern x topology, saturation and
 //    fault-family tests also diff every result field against a serial
 //    simulator defined below — one priority queue over that canonical
-//    order, no windows, SIMD or reroute.
-//  * SIMD invisibility: forcing every kernel through its scalar reference
-//    reproduces the SIMD run's results AND telemetry bit for bit.
+//    order, no windows or reroute.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +29,6 @@
 #include "obs/net_telemetry.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/stats.hpp"
 
 // ---- Counting allocator guard (this TU is its own test binary) ----------
@@ -67,7 +64,7 @@ PacketSimConfig golden_config(TrafficPattern p) {
 // An oracle that shares none of the engine's machinery: every pending event
 // sits in one priority queue keyed (time, injection id) and is processed
 // strictly in that canonical order. There are no windows, wheels, sorts,
-// SIMD kernels, outcome records or rerouting, and it reaches the
+// link chains, outcome records or rerouting, and it reaches the
 // library only through public API: Topology routing, the scalar FaultPlan
 // predicates, the RNG and the stats types.
 
@@ -233,8 +230,9 @@ PacketSimResult reference_packet_sim(const Topology& topo,
       lose();
       continue;
     }
-    // Store-and-forward on the earliest-free channel (lowest index on ties);
-    // a degraded link multiplies the service time.
+    // Store-and-forward on the earliest-free channel (which of several
+    // equal-cycle channels is unobservable: they are interchangeable); a
+    // degraded link multiplies the service time.
     Cycles& free_at = *std::min_element(l.free_at.begin(), l.free_at.end());
     free_at = std::max(e.t, free_at) + service * deg;
     q.push({free_at, e.id, e.hop + 1, e.attempt});
@@ -328,10 +326,10 @@ TEST(PacketSim, SteadyStateIsAllocationFree) {
   // the O(packets) of a per-packet-allocating implementation.
   EXPECT_LT(a4, 200);
 
-  // The faulted steady state honours the same bound: the verdict staging
-  // tile, the batch-kernel survivor scratch and the radix-sort ping-pong
-  // buffers are all reserved up front, so 4x the drops/retries/degraded
-  // traffic must not allocate either.
+  // The faulted steady state honours the same bound: the link-degrade memo,
+  // the per-link chains and the radix-sort ping-pong buffers are all
+  // reserved up front, so 4x the drops/retries/degraded traffic must not
+  // allocate either.
   fault::FaultPlan plan;
   plan.drop_rate = 0.02;
   plan.corrupt_rate = 0.005;
@@ -462,17 +460,20 @@ void expect_identical(const PacketSimResult& a, const obs::NetTelemetry& ta,
 }
 
 TEST(PacketSim, MatchesReferenceAcrossPatternsAndTopologies) {
-  // Every traffic pattern on a torus, a hypercube and an open mesh, with a
-  // telemetry sink attached: the engine's result surface equals the serial
-  // reference's.
+  // Every traffic pattern on a torus, a hypercube, an open mesh, a
+  // butterfly and a two-channel fat tree, with a telemetry sink attached:
+  // the engine's result surface equals the serial reference's. The fat
+  // tree's multi-channel links exercise channel arbitration.
   struct Case {
     const char* name;
     std::unique_ptr<Topology> topo;
   };
-  Case cases[3];
+  Case cases[5];
   cases[0] = {"torus8x8", make_mesh2d(8, 8, true)};
   cases[1] = {"hypercube64", make_hypercube(64)};
   cases[2] = {"mesh8x8", make_mesh2d(8, 8, false)};
+  cases[3] = {"butterfly32", make_butterfly(32)};
+  cases[4] = {"fattree64t2", make_fat_tree4(64, 2)};
   for (const auto& c : cases) {
     for (const auto pat : kPatterns) {
       SCOPED_TRACE(std::string(c.name) + "/" + traffic_pattern_name(pat));
@@ -566,83 +567,14 @@ TEST(PacketSim, IdenticalRunsBitForBit) {
   }
 }
 
-TEST(PacketSim, SimdOnOffByteIdenticalEverywhere) {
-  // The vector kernels must be invisible: forcing every kernel through its
-  // scalar reference (the same code path -DLOGP_NO_SIMD=ON compiles) has to
-  // reproduce the SIMD run bit-for-bit — full result surface plus telemetry
-  // — for every pattern x topology pair. FatTree4(64, 2) is the
-  // load-bearing topology: its multi-channel links exercise the SIMD
-  // first-minimum channel arbitration (and its equal-cycle tie-break).
-  struct Case {
-    const char* name;
-    std::unique_ptr<Topology> topo;
-  };
-  Case cases[3];
-  cases[0] = {"torus8x8", make_mesh2d(8, 8, true)};
-  cases[1] = {"butterfly32", make_butterfly(32)};
-  cases[2] = {"fattree64t2", make_fat_tree4(64, 2)};
-  for (const auto& c : cases) {
-    for (const auto pat : kPatterns) {
-      SCOPED_TRACE(std::string(c.name) + "/" + traffic_pattern_name(pat));
-      const PacketSimConfig base = golden_config(pat);
-      PacketSimConfig cfg_on = base;
-      obs::NetTelemetry telem_on;
-      telem_on.sample_every = 500;
-      cfg_on.telemetry = &telem_on;
-      util::simd::set_force_scalar(false);
-      const auto on = run_packet_sim(*c.topo, cfg_on);
-      PacketSimConfig cfg_off = base;
-      obs::NetTelemetry telem_off;
-      telem_off.sample_every = 500;
-      cfg_off.telemetry = &telem_off;
-      util::simd::set_force_scalar(true);
-      const auto off = run_packet_sim(*c.topo, cfg_off);
-      util::simd::set_force_scalar(false);
-      expect_identical(on, telem_on, off, telem_off);
-      expect_same_result(reference_packet_sim(*c.topo, base), on);
-    }
-  }
-}
-
-TEST(PacketSim, SimdOnOffByteIdenticalUnderActiveFaultPlan) {
-  // Same invariant through the faulted kernel: drops, corruption, retries
-  // and a degraded link must not perturb SIMD/scalar identity (the faulted
-  // window walk is strictly canonical; classification masks and channel
-  // scans still run through the kernels).
-  const auto topo = make_fat_tree4(64, 2);
-  fault::FaultPlan plan;
-  plan.drop_rate = 0.05;
-  plan.corrupt_rate = 0.02;
-  plan.retry_timeout = 64;
-  plan.max_retries = 3;
-  plan.link_faults.push_back({0, 64, 2000, 6000, 4});
-  PacketSimConfig base = golden_config(TrafficPattern::kUniform);
-  base.faults = &plan;
-  PacketSimConfig cfg_on = base;
-  obs::NetTelemetry telem_on;
-  telem_on.sample_every = 500;
-  cfg_on.telemetry = &telem_on;
-  util::simd::set_force_scalar(false);
-  const auto on = run_packet_sim(*topo, cfg_on);
-  PacketSimConfig cfg_off = base;
-  obs::NetTelemetry telem_off;
-  telem_off.sample_every = 500;
-  cfg_off.telemetry = &telem_off;
-  util::simd::set_force_scalar(true);
-  const auto off = run_packet_sim(*topo, cfg_off);
-  util::simd::set_force_scalar(false);
-  EXPECT_GT(on.dropped + on.corrupted, 0);
-  expect_identical(on, telem_on, off, telem_off);
-}
-
-TEST(PacketSim, SimdOnOffByteIdenticalPerFaultType) {
-  // The batch verdict kernel has one code path per misfortune family
-  // (hashed drop, hashed corrupt, targeted first-attempt drop, dead link,
-  // degraded link, injection jitter, retransmit pressure). Exercise each in
-  // isolation and pin SIMD-on/off byte-identity per family, with a
-  // counter proof that the family actually fired — a plan that never
-  // triggers would make the identity check vacuous. Every family is also
-  // diffed against the serial reference.
+TEST(PacketSim, MatchesReferencePerFaultType) {
+  // The window kernel has one code path per misfortune family (hashed
+  // drop, hashed corrupt, targeted first-attempt drop, dead link, degraded
+  // link, injection jitter, retransmit pressure). Exercise each in
+  // isolation, then all of drop, corrupt, retry and degrade together, and
+  // diff every result field (telemetry sink attached) against the serial
+  // reference, with a counter proof that the family actually fired — a
+  // plan that never triggers would make the diff vacuous.
   const auto topo = make_fat_tree4(64, 2);
   struct Case {
     const char* name;
@@ -653,7 +585,7 @@ TEST(PacketSim, SimdOnOffByteIdenticalPerFaultType) {
     bool wants_retransmitted = false;
     bool wants_perturbed = false;  // latency must differ from the clean run
   };
-  Case cases[8];
+  Case cases[9];
   cases[0].name = "drop_only";
   cases[0].plan.drop_rate = 0.05;
   cases[0].wants_dropped = true;
@@ -683,6 +615,14 @@ TEST(PacketSim, SimdOnOffByteIdenticalPerFaultType) {
   cases[7].plan.retry_timeout = 64;
   cases[7].wants_dropped = true;
   cases[7].wants_corrupted = true;
+  cases[8].name = "drop_corrupt_degrade";
+  cases[8].plan.drop_rate = 0.05;
+  cases[8].plan.corrupt_rate = 0.02;
+  cases[8].plan.retry_timeout = 64;
+  cases[8].plan.link_faults.push_back({0, 64, 2000, 6000, 4});
+  cases[8].wants_dropped = true;
+  cases[8].wants_corrupted = true;
+  cases[8].wants_retransmitted = true;
   const auto clean =
       run_packet_sim(*topo, golden_config(TrafficPattern::kUniform));
   for (auto& c : cases) {
@@ -691,34 +631,25 @@ TEST(PacketSim, SimdOnOffByteIdenticalPerFaultType) {
     if (c.plan.max_retries == 0) c.plan.max_retries = 3;
     probe.faults = &c.plan;
     SCOPED_TRACE(c.name);
-    PacketSimConfig cfg_on = probe;
-    obs::NetTelemetry telem_on;
-    telem_on.sample_every = 500;
-    cfg_on.telemetry = &telem_on;
-    util::simd::set_force_scalar(false);
-    const auto on = run_packet_sim(*topo, cfg_on);
-    PacketSimConfig cfg_off = probe;
-    obs::NetTelemetry telem_off;
-    telem_off.sample_every = 500;
-    cfg_off.telemetry = &telem_off;
-    util::simd::set_force_scalar(true);
-    const auto off = run_packet_sim(*topo, cfg_off);
-    util::simd::set_force_scalar(false);
+    PacketSimConfig cfg = probe;
+    obs::NetTelemetry telem;
+    telem.sample_every = 500;
+    cfg.telemetry = &telem;
+    const auto r = run_packet_sim(*topo, cfg);
     if (c.wants_dropped) {
-      EXPECT_GT(on.dropped, 0);
+      EXPECT_GT(r.dropped, 0);
     }
     if (c.wants_corrupted) {
-      EXPECT_GT(on.corrupted, 0);
+      EXPECT_GT(r.corrupted, 0);
     }
     if (c.wants_retransmitted) {
-      EXPECT_GT(on.retransmitted, 0);
+      EXPECT_GT(r.retransmitted, 0);
     }
     if (c.wants_perturbed) {
-      EXPECT_NE(on.latency.mean(), clean.latency.mean())
+      EXPECT_NE(r.latency.mean(), clean.latency.mean())
           << "plan should perturb timing even without losses";
     }
-    expect_identical(on, telem_on, off, telem_off);
-    expect_same_result(reference_packet_sim(*topo, probe), on);
+    expect_same_result(reference_packet_sim(*topo, probe), r);
   }
 }
 
@@ -733,23 +664,67 @@ TEST(PacketSim, LookaheadMatchesPerHopServiceTime) {
             static_cast<double>(lookahead(cfg)));
 }
 
-TEST(PacketSim, RejectsSimThreadsOtherThanOne) {
-  // The engine is single-threaded; a caller asking for intra-run threads
-  // (0 or more than 1) gets a message, not a silently serial run.
+TEST(PacketSim, RejectsOutOfRangeConfig) {
+  // Out-of-range knobs get a message naming the field and the value, not
+  // a NaN throughput, an out-of-range cast or a silently clamped run. The
+  // engine is single-threaded, so intra-run threads (0 or more than 1) are
+  // rejected too, not run serially.
   const auto topo = make_mesh2d(4, 4, true);
-  for (const int threads : {0, 4}) {
-    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+  struct Case {
+    const char* name;
+    std::function<void(PacketSimConfig&)> set;
+    std::vector<const char*> wants;  // substrings of the message
+  };
+  const Case cases[] = {
+      {"sim_threads=0", [](PacketSimConfig& c) { c.sim_threads = 0; },
+       {"sim_threads is 0", "single-threaded"}},
+      {"sim_threads=4", [](PacketSimConfig& c) { c.sim_threads = 4; },
+       {"sim_threads is 4", "single-threaded"}},
+      {"duration=0", [](PacketSimConfig& c) { c.duration = 0; },
+       {"PacketSimConfig::duration", "got 0"}},
+      {"duration=-5000",
+       [](PacketSimConfig& c) {
+         c.warmup = 0;
+         c.duration = -5000;
+       },
+       {"PacketSimConfig::duration", "got -5000"}},
+      {"warmup=-3000",
+       [](PacketSimConfig& c) {
+         c.warmup = -3000;
+         c.duration = 1000;
+       },
+       {"PacketSimConfig::warmup", "got -3000"}},
+      {"hotspot_fraction=1.7",
+       [](PacketSimConfig& c) {
+         c.pattern = TrafficPattern::kHotspot;
+         c.hotspot_fraction = 1.7;
+       },
+       {"PacketSimConfig::hotspot_fraction", "got 1.7"}},
+      {"hotspot_fraction=-0.1",
+       [](PacketSimConfig& c) { c.hotspot_fraction = -0.1; },
+       {"PacketSimConfig::hotspot_fraction", "got -0.1"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
     PacketSimConfig cfg = golden_config(TrafficPattern::kUniform);
-    cfg.sim_threads = threads;
+    c.set(cfg);
     try {
       (void)run_packet_sim(*topo, cfg);
       ADD_FAILURE() << "expected a check_error";
     } catch (const util::check_error& e) {
-      EXPECT_NE(std::string(e.what()).find("single-threaded"),
-                std::string::npos)
-          << e.what();
+      for (const char* want : c.wants)
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << "missing '" << want << "' in: " << e.what();
     }
   }
+  // The edges of each range still run.
+  PacketSimConfig edge = golden_config(TrafficPattern::kHotspot);
+  edge.warmup = 0;
+  edge.duration = 1;
+  edge.hotspot_fraction = 1.0;
+  EXPECT_NO_THROW((void)run_packet_sim(*topo, edge));
+  edge.hotspot_fraction = 0.0;
+  EXPECT_NO_THROW((void)run_packet_sim(*topo, edge));
 }
 
 // ---- Fault-aware rerouting (PacketSimConfig::reroute) --------------------
@@ -826,11 +801,12 @@ TEST(PacketSim, RerouteDetoursAroundKilledLinkAndHealsBack) {
   EXPECT_EQ(link_drops, r_on.dropped);
 }
 
-TEST(PacketSim, RerouteByteIdenticalWithSimdOnAndOff) {
+TEST(PacketSim, RerouteByteIdenticalAcrossRuns) {
   // The recovery figure's contract: a kill/heal run with rerouting engaged
-  // is byte-identical — full result surface plus telemetry, including the
-  // reroute and dead-link series — with SIMD on or off, and from run to
-  // run.
+  // is byte-identical from run to run — full result surface plus
+  // telemetry, including the reroute and dead-link series. (The serial
+  // reference has no epoch-route model, so this is a repeat identity, not
+  // a reference diff.)
   const auto topo = make_hypercube(32);
   PacketSimConfig base;
   base.injection_rate = 0.02;
@@ -856,17 +832,12 @@ TEST(PacketSim, RerouteByteIdenticalWithSimdOnAndOff) {
   for (const auto& l : ref_telem.links) link_reroutes += l.reroutes;
   EXPECT_GT(link_reroutes, 0);
 
-  for (const bool scalar : {false, true}) {
-    SCOPED_TRACE(scalar ? "scalar" : "simd");
-    PacketSimConfig cfg = base;
-    obs::NetTelemetry telem;
-    telem.sample_every = 250;
-    cfg.telemetry = &telem;
-    util::simd::set_force_scalar(scalar);
-    const auto r = run_packet_sim(*topo, cfg);
-    util::simd::set_force_scalar(false);
-    expect_identical(ref, ref_telem, r, telem);
-  }
+  PacketSimConfig cfg = base;
+  obs::NetTelemetry telem;
+  telem.sample_every = 250;
+  cfg.telemetry = &telem;
+  const auto r = run_packet_sim(*topo, cfg);
+  expect_identical(ref, ref_telem, r, telem);
 }
 
 TEST(PacketSim, RerouteFlagIsInertWithoutKillIntervals) {
